@@ -10,7 +10,7 @@ including the disk, which no CPU-only simulator would show moving.
     python examples/design_space_exploration.py
 """
 
-from repro.core.sensitivity import sweep_parameter, sweep_spindown_threshold
+from repro.core.campaign import sweep_parameter, sweep_spindown_threshold
 
 KB = 1024
 

@@ -206,7 +206,7 @@ def main() -> int:
 
 def batch_smoke() -> int:
     """Phase 6: concurrent batch-endpoint traffic across a drain."""
-    server = launch(["--queue-depth", "64", "--max-batch", "32"])
+    server = launch(["--queue-depth", "64"])
     lines: list[str] = []
 
     port = None

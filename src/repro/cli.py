@@ -513,7 +513,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.resilience.faults import ServeFaultPlan  # noqa: PLC0415
     from repro.serve import (  # noqa: PLC0415
-        BatchScheduler,
         CircuitBreaker,
         EstimationEngine,
         EstimationHTTPServer,
@@ -543,27 +542,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         fault_plan=fault_plan,
     )
-    scheduler = None
-    if not args.no_batching:
-        scheduler = BatchScheduler(
-            engine,
-            batch_window_ms=args.batch_window_ms,
-            max_batch=args.max_batch,
-        )
     if args.socket:
         if os.path.exists(args.socket):
             os.unlink(args.socket)  # a previous run's stale socket
         server = UnixEstimationHTTPServer(
             args.socket, engine,
             queue_depth=args.queue_depth, retry_after_s=args.retry_after,
-            scheduler=scheduler,
         )
         location = f"unix:{args.socket}"
     else:
         server = EstimationHTTPServer(
             (args.host, args.port), engine,
             queue_depth=args.queue_depth, retry_after_s=args.retry_after,
-            scheduler=scheduler,
         )
         location = f"http://{args.host}:{server.server_address[1]}"
 
@@ -586,12 +576,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"drained: {counters['requests']} request(s) "
           f"({counters['ok']} ok, {counters['degraded']} degraded, "
           f"{admission['rejected']} rejected at admission)")
-    if "batching" in summary:
-        batching = summary["batching"]
-        print(f"batching: {batching['batches']} batch(es), "
-              f"{batching['coalesced']} coalesced request(s), "
-              f"single-flight hit rate "
-              f"{batching['single_flight']['hit_rate']:.0%}")
+    batching = summary["batching"]
+    print(f"batching: {batching['coalesced']} coalesced request(s), "
+          f"single-flight hit rate "
+          f"{batching['single_flight']['hit_rate']:.0%}")
     if summary["cache"] is not None:
         cache = summary["cache"]
         print(f"cache: {cache['hits']} hit(s), {cache['misses']} miss(es), "
@@ -730,15 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: unlimited)")
     p.add_argument("--warm", metavar="BENCH1,BENCH2",
                    help="pre-simulate benchmarks before accepting traffic")
-    p.add_argument("--batch-window-ms", type=float, default=0.0,
-                   help="how long the batch scheduler holds a forming "
-                        "batch open for more lanes (default: 0 — drain "
-                        "whatever is queued, no added latency)")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="max lanes per scheduler batch (default: 16)")
-    p.add_argument("--no-batching", action="store_true",
-                   help="serve every request alone (disable the batch "
-                        "scheduler and single-flight deduplication)")
     p.add_argument("--window", type=int, default=40_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)

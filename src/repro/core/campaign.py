@@ -146,8 +146,7 @@ def classify(
 
 
 # ---------------------------------------------------------------------------
-# Sweep results (moved here from repro.core.sensitivity, which now
-# re-exports them).
+# Sweep results
 # ---------------------------------------------------------------------------
 
 
@@ -750,8 +749,7 @@ class SweepCampaign:
 
 
 # ---------------------------------------------------------------------------
-# Convenience wrappers (the public sweep API, re-exported by
-# repro.core.sensitivity for backwards compatibility)
+# Convenience wrappers (the public sweep API)
 # ---------------------------------------------------------------------------
 
 

@@ -236,21 +236,17 @@ class SoftWatt:
         configurations therefore costs one lockstep simulation instead
         of one scalar simulation per point.
 
-        No-op (returning 0) when the batched engine is disabled
-        (``REPRO_PURE_PYTHON=1`` or no numpy) or when fewer than
-        ``min_runs`` runs are pending — the scalar path wins below the
-        lockstep breakeven.  ``min_runs`` defaults to the calibrated
+        No-op (returning 0) when fewer than ``min_runs`` runs are
+        pending — the scalar path wins below the lockstep breakeven.
+        ``min_runs`` defaults to the calibrated
         :func:`~repro.cpu.batch.batch_min_runs`.  Returns the number of
         profiles computed.
         """
         from repro.cpu.batch import (  # noqa: PLC0415 — keep numpy lazy
             batch_min_runs,
-            batched_execution,
             profile_benchmarks_batched,
         )
 
-        if not batched_execution():
-            return 0
         pairs: list[tuple[SoftWatt, BenchmarkSpec]] = []
         for sw in instances:
             pairs.extend(sw.pending_lanes(names))

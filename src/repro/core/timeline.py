@@ -20,8 +20,9 @@ penalties serialise with execution in the paper's Section 4 study.
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import TYPE_CHECKING
+
+import numpy as _np
 
 from repro.config.diskcfg import (
     MK3003MAN_POWER_W,
@@ -47,26 +48,7 @@ from repro.stats.simlog import LogRecord, SimulationLog
 if TYPE_CHECKING:
     from repro.power.ledger import EnergyLedger
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 _EPS = 1e-9
-
-PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
-"""Set to a non-empty value (other than ``0``) to force the pure-Python
-sampling path even when numpy is importable.  The two paths are
-bit-identical (pinned by ``tests/test_golden_energy.py`` and the
-equivalence tests in ``tests/test_core.py``); the flag exists for
-benchmarking the speedup and as an escape hatch."""
-
-
-def vectorized_sampling() -> bool:
-    """True when the numpy sampling/aggregation path is active."""
-    if _np is None:
-        return False
-    return os.environ.get(PURE_PYTHON_ENV, "") in ("", "0")
 
 IDLE_POLICIES = ("busywait", "halt")
 """How the CPU spends idle periods.
@@ -350,106 +332,11 @@ class TimelineSimulator:
         (window-derived activity is diluted by ``1 - phi`` to make
         room).
 
-        Dispatches to the numpy path when available: counters become
-        fixed-order float64 vectors (``COUNTER_FIELDS`` order) so each
-        segment overlap is one fused multiply-add instead of 33
-        attribute round-trips.  Both paths perform the same IEEE-754
-        operations in the same order, so outputs are bit-identical.
+        Counters are fixed-order float64 vectors (``COUNTER_FIELDS``
+        order), so each segment overlap is one fused multiply-add
+        (``acc += vec * factor``, per element ``acc[i] + vec[i] *
+        factor``) instead of 33 attribute round-trips.
         """
-        if vectorized_sampling():
-            return self._sample_numpy(
-                segments, duration_s, phi=phi, scheduled_rate=scheduled_rate
-            )
-        return self._sample_python(
-            segments, duration_s, phi=phi, scheduled_rate=scheduled_rate
-        )
-
-    def _sample_python(
-        self,
-        segments: list[_Segment],
-        duration_s: float,
-        *,
-        phi: float = 0.0,
-        scheduled_rate: AccessCounters | None = None,
-    ) -> SimulationLog:
-        log = SimulationLog(self.sample_interval_s)
-        if not segments:
-            return log
-        interval = self.sample_interval_s
-        clock = self.clock_hz
-        dilution = 1.0 - phi
-        halt_idle = self.idle_policy == "halt"
-        t = 0.0
-        seg_iter = iter(segments)
-        segment = next(seg_iter)
-        seg_rates = self._segment_rates(
-            segment.source, halted=halt_idle and segment.is_idle)
-        while t < duration_s - _EPS:
-            t_end = min(t + interval, duration_s)
-            counters = AccessCounters()
-            mode_cycles: dict[ExecutionMode, float] = {}
-            cursor = t
-            cycles_total = 0.0
-            while cursor < t_end - _EPS:
-                while segment.end_s <= cursor + _EPS:
-                    try:
-                        segment = next(seg_iter)
-                    except StopIteration:
-                        break
-                    seg_rates = self._segment_rates(
-                        segment.source, halted=halt_idle and segment.is_idle)
-                overlap = min(segment.end_s, t_end) - cursor
-                if overlap <= 0:
-                    break
-                seg_cycles = overlap * clock
-                cycles_total += seg_cycles
-                source_counters, mode_share = seg_rates
-                source_cycles = max(1, segment.source.cycles)
-                if segment.is_idle:
-                    factor = seg_cycles / source_cycles
-                    counters.add(_scale_counters(source_counters, factor))
-                    mode_cycles[ExecutionMode.IDLE] = (
-                        mode_cycles.get(ExecutionMode.IDLE, 0.0) + seg_cycles
-                    )
-                else:
-                    factor = seg_cycles * dilution / source_cycles
-                    counters.add(_scale_counters(source_counters, factor))
-                    if scheduled_rate is not None:
-                        counters.add(_scale_counters(scheduled_rate, seg_cycles))
-                    for mode, share in mode_share.items():
-                        mode_cycles[mode] = (
-                            mode_cycles.get(mode, 0.0) + share * seg_cycles * dilution
-                        )
-                    if phi > 0.0:
-                        mode_cycles[ExecutionMode.KERNEL] = (
-                            mode_cycles.get(ExecutionMode.KERNEL, 0.0)
-                            + phi * seg_cycles
-                        )
-                cursor += overlap
-            log.append(
-                LogRecord(
-                    start_s=t,
-                    end_s=t_end,
-                    cycles=cycles_total,
-                    counters=counters,
-                    mode_cycles=mode_cycles,
-                )
-            )
-            t = t_end
-        return log
-
-    def _sample_numpy(
-        self,
-        segments: list[_Segment],
-        duration_s: float,
-        *,
-        phi: float = 0.0,
-        scheduled_rate: AccessCounters | None = None,
-    ) -> SimulationLog:
-        # Mirrors _sample_python operation-for-operation; only the
-        # counter accumulation is vectorized (`acc += vec * factor` is
-        # per-element `acc[i] + vec[i] * factor`, the same IEEE-754
-        # sequence as AccessCounters.add of _scale_counters output).
         log = SimulationLog(self.sample_interval_s)
         if not segments:
             return log
@@ -551,124 +438,8 @@ class TimelineSimulator:
         dict[str | None, float],
         dict[str, float],
     ]:
-        if vectorized_sampling():
-            return self._aggregate_numpy(segments, plan, phi)
-        return self._aggregate_python(segments, plan, phi)
-
-    def _aggregate_python(
-        self,
-        segments: list[_Segment],
-        plan: dict[str, tuple[float, float]],
-        phi: float,
-    ) -> tuple[
-        dict[ExecutionMode, float],
-        dict[ExecutionMode, AccessCounters],
-        dict[str | None, float],
-        dict[str | None, AccessCounters],
-        dict[str | None, float],
-        dict[str, float],
-    ]:
-        clock = self.clock_hz
-        mode_cycles: dict[ExecutionMode, float] = {mode: 0.0 for mode in ExecutionMode}
-        mode_counters: dict[ExecutionMode, AccessCounters] = {
-            mode: AccessCounters() for mode in ExecutionMode
-        }
-        label_cycles: dict[str | None, float] = {}
-        label_counters: dict[str | None, AccessCounters] = {}
-        label_instructions: dict[str | None, float] = {}
-        invocations: dict[str, float] = {}
-
-        # Scale factors per distinct source: wall seconds using that
-        # source -> cycles, vs the source's measured cycles.
-        source_walls: dict[int, float] = {}
-        sources: dict[int, tuple[RunStats, bool]] = {}
-        for segment in segments:
-            key = id(segment.source)
-            source_walls[key] = source_walls.get(key, 0.0) + segment.duration_s
-            sources[key] = (segment.source, segment.is_idle)
-
-        halt_idle = self.idle_policy == "halt"
-        for key, wall_s in source_walls.items():
-            source, is_idle = sources[key]
-            if is_idle and halt_idle:
-                mode_cycles[ExecutionMode.IDLE] += wall_s * clock
-                label_cycles["idle"] = label_cycles.get("idle", 0.0) + wall_s * clock
-                if "idle" not in label_counters:
-                    label_counters["idle"] = AccessCounters()
-                continue
-            target_cycles = wall_s * clock
-            factor = target_cycles / max(1, source.cycles)
-            if not is_idle:
-                # Scheduled kernel services displace part of every
-                # compute segment.
-                factor *= 1.0 - phi
-            for label, stats in source.labels.items():
-                mode = ExecutionMode.IDLE if is_idle else mode_of_label(label)
-                cycles = stats.cycles * factor
-                mode_cycles[mode] += cycles
-                scaled = _scale_counters(stats.counters, factor)
-                mode_counters[mode].add(scaled)
-                label_cycles[label] = label_cycles.get(label, 0.0) + cycles
-                if label not in label_counters:
-                    label_counters[label] = AccessCounters()
-                label_counters[label].add(scaled)
-                label_instructions[label] = (
-                    label_instructions.get(label, 0.0) + stats.instructions * factor
-                )
-
-        # Scaled invocation counts: phase windows -> full phases
-        # (covers the emergent utlb traps and any window-scheduled
-        # activity), diluted like their cycles.
-        spec = self.profile.spec
-        duration = spec.compute_duration_s * self.speed_factor
-        for phase_spec in spec.phases.phases:
-            phase = self.profile.phases[phase_spec.name]
-            measured_cycles = max(1, phase.aggregate.cycles)
-            full_cycles = phase_spec.compute_fraction * duration * clock
-            factor = full_cycles * (1.0 - phi) / measured_cycles
-            for service, count in phase.invocations.items():
-                invocations[service] = invocations.get(service, 0.0) + count * factor
-
-        # Scheduled services from the Table 4 densities.
-        for service, (count, cycles) in plan.items():
-            svc_profile = self.service_profiles[service]
-            invocations[service] = invocations.get(service, 0.0) + count
-            label_cycles[service] = label_cycles.get(service, 0.0) + cycles
-            scaled = _scale_counters(svc_profile.mean_counters, count)
-            if service not in label_counters:
-                label_counters[service] = AccessCounters()
-            label_counters[service].add(scaled)
-            label_instructions[service] = (
-                label_instructions.get(service, 0.0)
-                + count * svc_profile.instructions_per_invocation
-            )
-            mode_cycles[ExecutionMode.KERNEL] += cycles
-            mode_counters[ExecutionMode.KERNEL].add(scaled)
-        return (
-            mode_cycles,
-            mode_counters,
-            label_cycles,
-            label_counters,
-            label_instructions,
-            invocations,
-        )
-
-    def _aggregate_numpy(
-        self,
-        segments: list[_Segment],
-        plan: dict[str, tuple[float, float]],
-        phi: float,
-    ) -> tuple[
-        dict[ExecutionMode, float],
-        dict[ExecutionMode, AccessCounters],
-        dict[str | None, float],
-        dict[str | None, AccessCounters],
-        dict[str | None, float],
-        dict[str, float],
-    ]:
-        # Mirrors _aggregate_python operation-for-operation; per-mode
-        # and per-label counter accumulators are float64 vectors that
-        # are converted back once at the end.
+        # Per-mode and per-label counter accumulators are float64
+        # vectors, converted back once at the end.
         clock = self.clock_hz
         width = len(COUNTER_FIELDS)
         mode_cycles: dict[ExecutionMode, float] = {mode: 0.0 for mode in ExecutionMode}
@@ -680,6 +451,8 @@ class TimelineSimulator:
         label_instructions: dict[str | None, float] = {}
         invocations: dict[str, float] = {}
 
+        # Scale factors per distinct source: wall seconds using that
+        # source -> cycles, vs the source's measured cycles.
         source_walls: dict[int, float] = {}
         sources: dict[int, tuple[RunStats, bool]] = {}
         for segment in segments:
@@ -699,6 +472,8 @@ class TimelineSimulator:
             target_cycles = wall_s * clock
             factor = target_cycles / max(1, source.cycles)
             if not is_idle:
+                # Scheduled kernel services displace part of every
+                # compute segment.
                 factor *= 1.0 - phi
             for label, stats in source.labels.items():
                 mode = ExecutionMode.IDLE if is_idle else mode_of_label(label)
@@ -714,6 +489,9 @@ class TimelineSimulator:
                     label_instructions.get(label, 0.0) + stats.instructions * factor
                 )
 
+        # Scaled invocation counts: phase windows -> full phases
+        # (covers the emergent utlb traps and any window-scheduled
+        # activity), diluted like their cycles.
         spec = self.profile.spec
         duration = spec.compute_duration_s * self.speed_factor
         for phase_spec in spec.phases.phases:
@@ -724,6 +502,7 @@ class TimelineSimulator:
             for service, count in phase.invocations.items():
                 invocations[service] = invocations.get(service, 0.0) + count * factor
 
+        # Scheduled services from the Table 4 densities.
         for service, (count, cycles) in plan.items():
             svc_profile = self.service_profiles[service]
             invocations[service] = invocations.get(service, 0.0) + count

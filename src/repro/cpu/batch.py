@@ -32,9 +32,6 @@ The engine is bit-identical to the scalar
   and per-phase invocation dicts in the kernel's first-count order —
   the timeline aggregation is order-sensitive, so dict order is part of
   bit-identity.
-
-``REPRO_PURE_PYTHON=1`` (or a missing numpy) disables the engine;
-callers fall back to the scalar path.
 """
 
 from __future__ import annotations
@@ -43,6 +40,8 @@ import dataclasses
 import json
 import os
 from typing import Sequence
+
+import numpy as _np
 
 from repro.config.system import SystemConfig
 from repro.core.profiles import (
@@ -61,13 +60,6 @@ from repro.kernel.services import KernelServices, PTE_TABLE_BASE
 from repro.mem.hierarchy import KSEG_BASE
 from repro.stats.counters import COUNTER_FIELDS, COUNTER_INDEX
 from repro.workloads.specjvm98 import BenchmarkSpec
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
 
 BATCH_MIN_RUNS = 24
 """Fallback lockstep breakeven: below this many uncached runs the
@@ -148,18 +140,6 @@ _C_TLB_MISS = COUNTER_INDEX["tlb_miss"]
 
 _HANDLER_LEN = 48
 _HANDLER_LOAD_OFFSET = 22
-
-
-def batched_execution() -> bool:
-    """True when the batched SoA engine may be used.
-
-    Mirrors the timeline's vectorization gate: numpy must be importable
-    and ``REPRO_PURE_PYTHON`` must be unset/"0"/"" — the scalar path is
-    the reference and stays selectable for verification.
-    """
-    if _np is None:
-        return False
-    return os.environ.get(PURE_PYTHON_ENV, "0") in ("", "0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -657,8 +637,6 @@ class _BatchedMipsyEngine:
     """Executes decoded lanes in lockstep and materialises profiles."""
 
     def __init__(self, tasks: Sequence[BatchTask]) -> None:
-        if _np is None:  # pragma: no cover - callers gate on batched_execution()
-            raise RuntimeError("numpy is required for the batched engine")
         self.tasks = list(tasks)
         self.streams: list[_DecodedStream] = []
         self.stream_of: list[int] = []
@@ -1607,14 +1585,9 @@ def profile_benchmarks_batched(
 
     Returns one :class:`BenchmarkProfile` per task, in task order, each
     bit-identical to ``Profiler(task.config, cpu_model="mipsy",
-    ...).profile_benchmark(task.spec)``.  Callers gate on
-    :func:`batched_execution` and on having at least
-    :data:`BATCH_MIN_RUNS` uncached runs.
+    ...).profile_benchmark(task.spec)``.  Callers gate on having at
+    least :func:`batch_min_runs` uncached runs.
     """
-    if not batched_execution():
-        raise RuntimeError(
-            "batched execution is disabled (REPRO_PURE_PYTHON or no numpy)"
-        )
     if not tasks:
         return []
     engine = _BatchedMipsyEngine(tasks)

@@ -29,24 +29,14 @@ post-processor can attribute energy to software modes.
 The out-of-order event ordering is inherently scalar (each
 instruction's issue cycle feeds the next one's dependence chain), so
 unlike the in-order Mipsy core this model is not batched across runs.
-Instead the per-window constraint evaluation — the issue-bandwidth and
-functional-unit contention scans — is vectorized *within* a run: when
-numpy is available the five per-cycle dict tables are replaced by
-tag-validated ring buffers (:class:`_IssueRing`) probed scalar-first
-and scanned in chunks.  ``REPRO_PURE_PYTHON=1`` forces the dict path;
-both are bit-identical.
+Issue bandwidth and functional-unit contention are booked in per-cycle
+dict tables, pruned behind the commit horizon every ``_PRUNE_INTERVAL``
+instructions.
 """
 
 from __future__ import annotations
 
-import array
-import os
 from collections import deque
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from repro.config.system import SystemConfig
 from repro.cpu.branch import BranchPredictor
@@ -63,117 +53,6 @@ TRAP_ENTRY_PENALTY = 3
 """Cycles to redirect fetch to the exception vector after a drain."""
 
 _PRUNE_INTERVAL = 1 << 15
-
-PURE_PYTHON_ENV = "REPRO_PURE_PYTHON"
-
-_RING_BITS = 15
-_RING_SIZE = 1 << _RING_BITS
-_RING_MASK = _RING_SIZE - 1
-
-_ROW_MEM, _ROW_IMUL, _ROW_FP, _ROW_INT = 1, 2, 3, 4
-"""Functional-unit rows in :class:`_IssueRing` (row 0 is issue
-bandwidth)."""
-
-
-def vectorized_issue() -> bool:
-    """True when the numpy issue/FU contention tables are active.
-
-    Requires numpy and ``REPRO_PURE_PYTHON`` unset/""/"0"; the dict
-    tables remain the semantic reference and both paths are pinned
-    bit-identical by the golden and property suites.
-    """
-    if _np is None:
-        return False
-    return os.environ.get(PURE_PYTHON_ENV, "0") in ("", "0")
-
-
-class _IssueRing:
-    """Tag-validated ring buffers for the per-cycle bandwidth tables.
-
-    Row 0 is the shared issue-bandwidth table; rows 1-4 are the
-    functional-unit tables (data-cache port, integer multiplier, FP
-    ALUs, integer ALUs).  A slot counts for cycle ``c`` only while its
-    tag equals ``c`` — stale entries read as zero and are reclaimed by
-    the next write, so the periodic ``_prune`` pass the dict tables
-    need becomes a no-op.  ``_RING_SIZE`` (32768 cycles) exceeds the
-    maximum span of simultaneously live issue cycles (window occupancy
-    times worst-case memory latency, a few hundred cycles) by two
-    orders of magnitude, so a wrap can never clobber a cycle that is
-    still reachable by a scan.
-
-    The rings are ``array.array`` (scalar probes of the common
-    free-at-``ready`` case stay at list speed, where numpy element
-    access would dominate) with zero-copy numpy views layered on top
-    via ``np.frombuffer`` for the chunked contention scans — writes
-    through the arrays are immediately visible to the views.
-    """
-
-    __slots__ = ("issue_width", "vals", "tags", "nvals", "ntags")
-
-    def __init__(self, issue_width: int) -> None:
-        self.issue_width = issue_width
-        self.vals = [
-            array.array("q", bytes(8 * _RING_SIZE)) for _ in range(5)
-        ]
-        self.tags = [array.array("q", [-1]) * _RING_SIZE for _ in range(5)]
-        self.nvals = [_np.frombuffer(a, dtype=_np.int64) for a in self.vals]
-        self.ntags = [_np.frombuffer(a, dtype=_np.int64) for a in self.tags]
-
-    def claim(self, ready: int, unit: int, unit_count: int) -> int:
-        """Earliest cycle >= ``ready`` with an issue slot and a free
-        unit; books one slot in both tables at that cycle."""
-        val0, tag0 = self.vals[0], self.tags[0]
-        valu, tagu = self.vals[unit], self.tags[unit]
-        slot = ready & _RING_MASK
-        iv = val0[slot] if tag0[slot] == ready else 0
-        uv = valu[slot] if tagu[slot] == ready else 0
-        if iv < self.issue_width and uv < unit_count:
-            cycle = ready
-        else:
-            cycle = self._scan(ready + 1, unit, unit_count)
-            slot = cycle & _RING_MASK
-            iv = val0[slot] if tag0[slot] == cycle else 0
-            uv = valu[slot] if tagu[slot] == cycle else 0
-        val0[slot] = iv + 1
-        tag0[slot] = cycle
-        valu[slot] = uv + 1
-        tagu[slot] = cycle
-        return cycle
-
-    def _scan(self, start: int, unit: int, unit_count: int) -> int:
-        """Find the first satisfying cycle past a busy ``ready`` slot.
-
-        Contention runs are almost always a handful of cycles (the
-        measured distribution tops out below ~30), so probe a short
-        scalar prefix first; the geometric numpy chunks only engage
-        for pathological back-pressure, where they win.
-        """
-        sval0, stag0 = self.vals[0], self.tags[0]
-        svalu, stagu = self.vals[unit], self.tags[unit]
-        issue_width = self.issue_width
-        for cycle in range(start, start + 32):
-            slot = cycle & _RING_MASK
-            iv = sval0[slot] if stag0[slot] == cycle else 0
-            if iv < issue_width:
-                uv = svalu[slot] if stagu[slot] == cycle else 0
-                if uv < unit_count:
-                    return cycle
-        start = cycle + 1
-        val0, tag0 = self.nvals[0], self.ntags[0]
-        valu, tagu = self.nvals[unit], self.ntags[unit]
-        chunk = 32
-        cycle = start
-        while True:
-            cycles = _np.arange(cycle, cycle + chunk, dtype=_np.int64)
-            slots = cycles & _RING_MASK
-            iv = _np.where(tag0[slots] == cycles, val0[slots], 0)
-            uv = _np.where(tagu[slots] == cycles, valu[slots], 0)
-            ok = (iv < self.issue_width) & (uv < unit_count)
-            hit = int(ok.argmax())
-            if ok[hit]:
-                return cycle + hit
-            cycle += chunk
-            chunk = min(chunk * 4, 4096)
 
 
 class MXSProcessor:
@@ -217,12 +96,6 @@ class MXSProcessor:
         self._fp_used: dict[int, int] = {}
         self._mem_used: dict[int, int] = {}
         self._imul_used: dict[int, int] = {}
-        # When the ring tables are active the dicts above stay empty
-        # (and _prune is a free pass over them).  Re-evaluated per run
-        # so REPRO_PURE_PYTHON toggles take effect without a rebuild.
-        self._vec_issue = (
-            _IssueRing(self.core.issue_width) if vectorized_issue() else None
-        )
         self._since_prune = 0
         self._in_trap = False
         self._stats = RunStats()
@@ -269,19 +142,13 @@ class MXSProcessor:
         """Earliest cycle >= ready with an issue slot and a free unit."""
         issue_width = self.core.issue_width
         if op.is_mem:
-            row, unit_used, unit_count = _ROW_MEM, self._mem_used, 1
+            unit_used, unit_count = self._mem_used, 1
         elif op is OpClass.IMUL:
-            row, unit_used, unit_count = _ROW_IMUL, self._imul_used, 1
+            unit_used, unit_count = self._imul_used, 1
         elif op.is_float:
-            row, unit_used, unit_count = (
-                _ROW_FP, self._fp_used, self.core.fp_alus
-            )
+            unit_used, unit_count = self._fp_used, self.core.fp_alus
         else:
-            row, unit_used, unit_count = (
-                _ROW_INT, self._int_used, self.core.int_alus
-            )
-        if self._vec_issue is not None:
-            return self._vec_issue.claim(ready, row, unit_count)
+            unit_used, unit_count = self._int_used, self.core.int_alus
         cycle = ready
         issue_used = self._issue_used
         issue_get = issue_used.get
@@ -429,56 +296,26 @@ class MXSProcessor:
                     ready = producer
 
         # --- Issue / execute (inline of _find_issue_cycle) --------------
-        vec = self._vec_issue
-        if vec is not None:
-            if is_mem:
-                row, unit_count = _ROW_MEM, 1
-            elif op is OpClass.IMUL:
-                row, unit_count = _ROW_IMUL, 1
-            elif op.is_float:
-                row, unit_count = _ROW_FP, core.fp_alus
-            else:
-                row, unit_count = _ROW_INT, core.int_alus
-            # Inline of _IssueRing.claim — the free-at-ready case is
-            # ~80% of claims and a method call there costs as much as
-            # the probe itself.
-            val0, tag0 = vec.vals[0], vec.tags[0]
-            valu, tagu = vec.vals[row], vec.tags[row]
-            slot = ready & _RING_MASK
-            iv = val0[slot] if tag0[slot] == ready else 0
-            uv = valu[slot] if tagu[slot] == ready else 0
-            if iv < core.issue_width and uv < unit_count:
-                issue = ready
-            else:
-                issue = vec._scan(ready + 1, row, unit_count)
-                slot = issue & _RING_MASK
-                iv = val0[slot] if tag0[slot] == issue else 0
-                uv = valu[slot] if tagu[slot] == issue else 0
-            val0[slot] = iv + 1
-            tag0[slot] = issue
-            valu[slot] = uv + 1
-            tagu[slot] = issue
+        if is_mem:
+            unit_used, unit_count = self._mem_used, 1
+        elif op is OpClass.IMUL:
+            unit_used, unit_count = self._imul_used, 1
+        elif op.is_float:
+            unit_used, unit_count = self._fp_used, core.fp_alus
         else:
-            if is_mem:
-                unit_used, unit_count = self._mem_used, 1
-            elif op is OpClass.IMUL:
-                unit_used, unit_count = self._imul_used, 1
-            elif op.is_float:
-                unit_used, unit_count = self._fp_used, core.fp_alus
-            else:
-                unit_used, unit_count = self._int_used, core.int_alus
-            issue_width = core.issue_width
-            issue_used = self._issue_used
-            issue_get = issue_used.get
-            unit_get = unit_used.get
-            issue = ready
-            while (
-                issue_get(issue, 0) >= issue_width
-                or unit_get(issue, 0) >= unit_count
-            ):
-                issue += 1
-            issue_used[issue] = issue_get(issue, 0) + 1
-            unit_used[issue] = unit_get(issue, 0) + 1
+            unit_used, unit_count = self._int_used, core.int_alus
+        issue_width = core.issue_width
+        issue_used = self._issue_used
+        issue_get = issue_used.get
+        unit_get = unit_used.get
+        issue = ready
+        while (
+            issue_get(issue, 0) >= issue_width
+            or unit_get(issue, 0) >= unit_count
+        ):
+            issue += 1
+        issue_used[issue] = issue_get(issue, 0) + 1
+        unit_used[issue] = unit_get(issue, 0) + 1
 
         counters.window_issue += 1
         latency = op.latency

@@ -2,8 +2,8 @@
 
 ``engine`` answers estimation requests from warm simulator state under
 deadlines, a circuit breaker, and a fidelity-degradation ladder;
-``batching`` coalesces concurrent requests into lockstep SoA batches
-with single-flight deduplication; ``server`` is the stdlib HTTP shell
+``batching`` shares one computation among identical in-flight
+requests (single-flight deduplication); ``server`` is the stdlib HTTP shell
 adding admission control, health endpoints, and graceful drain;
 ``breaker`` is the reusable circuit breaker; ``client`` is the
 matching stdlib client (keep-alive, batch endpoint, pipelining).

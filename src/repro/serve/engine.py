@@ -109,7 +109,7 @@ class EstimateRequest:
                 f"fidelity must be one of {', '.join(FIDELITY_RUNGS)}"
             )
         disk = payload.get("disk", 1)
-        if not 1 <= disk <= 4:
+        if disk is None or not 1 <= disk <= 4:
             raise RequestError("disk must be a configuration number 1-4")
         deadline_s = payload.get("deadline_s")
         if deadline_s is not None and deadline_s < 0:
@@ -239,51 +239,6 @@ class EstimationEngine:
                 count += 1
         return count
 
-    def prefetch_group(
-        self,
-        cpu_model: str,
-        fidelity: str,
-        benchmarks,
-        *,
-        min_runs: int | None = None,
-    ) -> list[str]:
-        """Batch-profile a shape group's pending lanes in one lockstep
-        SoA pass; returns the benchmark names profiled.
-
-        Called by the batch scheduler before it executes a group of
-        same-``(cpu_model, fidelity)`` requests: every profile computed
-        here is a cache hit for the per-item :meth:`estimate` calls
-        that follow, so the group pays one lockstep simulation instead
-        of N scalar ones.  Best-effort by design — any failure returns
-        ``[]`` and the items simply profile solo under the normal
-        degradation policy; a batch never wholly fails here.
-        """
-        from repro.cpu.batch import (  # noqa: PLC0415 — keep numpy lazy
-            batch_min_runs,
-            batched_execution,
-            profile_benchmarks_batched,
-        )
-
-        if cpu_model != "mipsy" or fidelity != DETAILED:
-            return []
-        if not batched_execution():
-            return []
-        instance = self._instance(cpu_model, fidelity)
-        names = tuple(dict.fromkeys(benchmarks))
-        with instance.lock:
-            try:
-                pairs = instance.softwatt.pending_lanes(names)
-                threshold = batch_min_runs() if min_runs is None else min_runs
-                if len(pairs) < max(2, threshold):
-                    return []
-                tasks = [sw.profiler.lane_task(spec) for sw, spec in pairs]
-                profiles = profile_benchmarks_batched(tasks)
-                for (sw, spec), profile in zip(pairs, profiles):
-                    sw.adopt_profile(spec, profile)
-                return [spec.name for _, spec in pairs]
-            except Exception:  # noqa: BLE001 - items fall back to solo
-                return []
-
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
@@ -356,8 +311,8 @@ class EstimationEngine:
         ``error`` or ``result``, and the degradation record.
 
         ``started`` is the clock reading the request's deadline budget
-        runs from; the batch scheduler passes arrival time so queue
-        wait counts against the deadline like execution time does.
+        runs from; the single-flight scheduler passes arrival time so
+        time before execution counts against the deadline too.
         """
         self._count("requests")
         try:
@@ -488,8 +443,7 @@ class EstimationEngine:
         started: float | None = None,
     ) -> dict:
         """A 504 for a request whose budget expired before it executed
-        (a coalesced follower timing out while its leader still runs,
-        or a batch lane whose window wait consumed the deadline)."""
+        (a coalesced follower timing out while its leader still runs)."""
         self._count("requests")
         self._count("deadline_expired")
         deadline_s = self._deadline_for(request)

@@ -139,8 +139,17 @@ class EstimationHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _body_length(self) -> int | None:
+        """The declared body length, or None when the Content-Length
+        header is not an integer (the body's end is then unknown, so
+        the connection closes after the reply)."""
+        try:
+            return int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self.close_connection = True
+            return None
+
+    def _read_body(self, length: int) -> object:
         if length <= 0:
             raise ValueError("request must carry a JSON body")
         if length > MAX_BODY_BYTES:
@@ -148,10 +157,9 @@ class EstimationHandler(BaseHTTPRequestHandler):
             raise ValueError(f"request body exceeds {MAX_BODY_BYTES} bytes")
         return json.loads(self.rfile.read(length))
 
-    def _discard_body(self) -> None:
+    def _discard_body(self, length: int) -> None:
         """Consume an unread request body so a rejected POST leaves the
         keep-alive connection parseable for the next request."""
-        length = int(self.headers.get("Content-Length") or 0)
         if 0 < length <= MAX_BODY_BYTES:
             self.rfile.read(length)
         elif length > MAX_BODY_BYTES:
@@ -172,8 +180,7 @@ class EstimationHandler(BaseHTTPRequestHandler):
             stats = server.engine.stats()
             stats["admission"] = server.gate.snapshot()
             stats["draining"] = server.draining.is_set()
-            if server.scheduler is not None:
-                stats["batching"] = server.scheduler.snapshot()
+            stats["batching"] = server.scheduler.snapshot()
             self._send_json(200, stats)
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
@@ -182,20 +189,24 @@ class EstimationHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         server: EstimationHTTPServer = self.server
+        length = self._body_length()
+        if length is None:
+            self._send_json(400, {"error": "Content-Length must be an integer"})
+            return
         if self.path not in ("/run", "/sweep", "/estimate/batch"):
-            self._discard_body()
+            self._discard_body(length)
             self._send_json(404, {"error": f"unknown path {self.path}"})
             return
         index = server.next_ordinal()
         if server.draining.is_set():
-            self._discard_body()
+            self._discard_body(length)
             self._send_json(503, {"error": "server is draining"})
             return
         flooded = server.engine.flood_injected(index)
         if flooded:
             server.gate.force_reject()
         if flooded or not server.gate.try_enter():
-            self._discard_body()
+            self._discard_body(length)
             self._send_json(
                 429,
                 {
@@ -207,15 +218,12 @@ class EstimationHandler(BaseHTTPRequestHandler):
             return
         try:
             try:
-                payload = self._read_body()
+                payload = self._read_body(length)
             except (ValueError, json.JSONDecodeError) as error:
                 self._send_json(400, {"error": str(error)})
                 return
             if self.path == "/run":
-                if server.scheduler is not None:
-                    reply = server.scheduler.submit(payload, index=index)
-                else:
-                    reply = server.engine.estimate(payload, index=index)
+                reply = server.scheduler.submit(payload, index=index)
             elif self.path == "/estimate/batch":
                 reply = self._estimate_batch(server, payload, index)
             else:
@@ -248,12 +256,7 @@ class EstimationHandler(BaseHTTPRequestHandler):
                 "status": 400,
                 "error": f"batch exceeds {MAX_BATCH_ITEMS} items",
             }
-        if server.scheduler is not None:
-            items = server.scheduler.submit_many(payload, index=index)
-        else:
-            items = [
-                server.engine.estimate(item, index=index) for item in payload
-            ]
+        items = server.scheduler.submit_many(payload, index=index)
         return {"status": 200, "count": len(items), "items": items}
 
 
@@ -274,11 +277,10 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         *,
         queue_depth: int = 4,
         retry_after_s: float = 2.0,
-        scheduler: BatchScheduler | None = None,
     ) -> None:
         super().__init__(address, EstimationHandler)
         self.engine = engine
-        self.scheduler = scheduler
+        self.scheduler = BatchScheduler(engine)
         self.gate = AdmissionGate(queue_depth)
         self.retry_after_s = retry_after_s
         self.draining = threading.Event()
@@ -327,14 +329,12 @@ class EstimationHTTPServer(ThreadingHTTPServer):
                 pass  # already closing
 
     def drain_summary(self) -> dict:
-        summary = {
+        return {
             "admission": self.gate.snapshot(),
             "cache": self.engine.cache_stats(),
             "counters": self.engine.stats()["counters"],
+            "batching": self.scheduler.snapshot(),
         }
-        if self.scheduler is not None:
-            summary["batching"] = self.scheduler.snapshot()
-        return summary
 
 
 class UnixEstimationHTTPServer(EstimationHTTPServer):
@@ -356,8 +356,6 @@ def serve_forever(server: EstimationHTTPServer) -> dict:
         server.serve_forever()
     finally:
         server.server_close()  # joins in-flight handler threads
-        if server.scheduler is not None:
-            server.scheduler.close()
     summary = server.drain_summary()
     log.info("drained: %s", json.dumps(summary, sort_keys=True))
     return summary

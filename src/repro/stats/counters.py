@@ -12,6 +12,8 @@ from __future__ import annotations
 import operator
 from typing import Iterator
 
+import numpy as _np
+
 #: Every counted event, one per port-class of a modelled unit.
 COUNTER_FIELDS: tuple[str, ...] = (
     # Memory hierarchy
@@ -60,18 +62,13 @@ COUNTER_INDEX: dict[str, int] = {
 }
 """Position of each counter in the fixed-order vector layout.
 
-The vectorized timeline paths (:func:`counters_to_vector` /
+The vectorized timeline (:func:`counters_to_vector` /
 :func:`counters_from_vector`) lay an :class:`AccessCounters` out as a
 float64 vector in :data:`COUNTER_FIELDS` declaration order; this index
 is the single definition of that layout (documented in DESIGN.md §9).
 """
 
 _ROW_GETTER = operator.attrgetter(*COUNTER_FIELDS)
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 
 class UnknownCounterError(KeyError, AttributeError):
@@ -186,11 +183,7 @@ def counters_to_vector(counters: AccessCounters):
     Counter values are IEEE-754 doubles either way (Python floats and
     int counts below 2**53 convert exactly), so arithmetic on the
     vector is bit-identical to per-field arithmetic on the instance.
-    Raises :class:`RuntimeError` when numpy is unavailable — callers
-    gate on availability and keep a pure-Python path.
     """
-    if _np is None:  # pragma: no cover - numpy is a declared dependency
-        raise RuntimeError("numpy is not available; use the per-field API")
     return _np.array(_ROW_GETTER(counters), dtype=_np.float64)
 
 

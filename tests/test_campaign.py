@@ -184,26 +184,6 @@ class TestTimelineTier:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sampling: numpy and pure-Python paths are bit-identical
-# ---------------------------------------------------------------------------
-
-
-class TestVectorizedSampling:
-    def test_pure_python_fallback_is_bit_identical(self, monkeypatch,
-                                                   ledger_sweep):
-        from repro.core import timeline
-
-        if not timeline.vectorized_sampling():
-            pytest.skip("numpy unavailable; only one sampling path exists")
-        monkeypatch.setenv(timeline.PURE_PYTHON_ENV, "1")
-        assert not timeline.vectorized_sampling()
-        fallback = SweepCampaign(**SETTINGS).run("vdd", _vdd_values())
-        for numpy_point, python_point in zip(ledger_sweep.points,
-                                             fallback.points):
-            assert _point_fields(numpy_point) == _point_fields(python_point)
-
-
-# ---------------------------------------------------------------------------
 # Resilience: a crashed worker must not change the numbers
 # ---------------------------------------------------------------------------
 

@@ -82,10 +82,6 @@ def test_budget_order_follows_registry(results):
 def test_batched_prefetch_reproduces_golden_energies(golden):
     """End-to-end pin of the batched SoA engine: profiles prefetched in
     one lockstep pass must yield the exact golden run energies."""
-    import repro.cpu.batch as batch
-
-    if not batch.batched_execution():
-        pytest.skip("batched execution disabled (REPRO_PURE_PYTHON/no numpy)")
     names = tuple(
         key.split("/")[1] for key in golden["benchmarks"]
         if key.startswith("mipsy/")

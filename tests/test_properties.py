@@ -174,11 +174,6 @@ class TestBatchedMipsyEquivalence:
     lockstep; every lane must be bit-identical to a fresh scalar
     Profiler run of the same (spec, config, window, seed)."""
 
-    pytestmark = pytest.mark.skipif(
-        "not __import__('repro.cpu.batch', fromlist=['x']).batched_execution()",
-        reason="batched execution disabled (REPRO_PURE_PYTHON or no numpy)",
-    )
-
     @staticmethod
     def _scalar(name, config, window, seed):
         import pickle
@@ -274,64 +269,3 @@ class TestBatchedMipsyEquivalence:
         assert blobs[0] == self._scalar("jess", hw, 2000, 5)
         assert blobs[1] == self._scalar("db", base, 2000, 5)
 
-
-class TestBatchedExecutionGate:
-    def test_pure_python_env_forces_scalar(self, monkeypatch):
-        import repro.cpu.batch as batch
-
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        assert not batch.batched_execution()
-        with pytest.raises(RuntimeError):
-            from repro.config.system import SystemConfig
-            from repro.workloads.specjvm98 import benchmark
-
-            batch.profile_benchmarks_batched([
-                batch.BatchTask(spec=benchmark("jess"),
-                                config=SystemConfig.table1())
-            ])
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "0")
-        assert batch.batched_execution() == (batch._np is not None)
-
-    def test_pure_python_env_forces_dict_issue_tables(self, monkeypatch):
-        import repro.cpu.mxs as mxs
-        from repro.config.system import SystemConfig
-
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        assert not mxs.vectorized_issue()
-        cpu = mxs.MXSProcessor(SystemConfig.table1())
-        assert cpu._vec_issue is None
-        monkeypatch.delenv("REPRO_PURE_PYTHON")
-        cpu = mxs.MXSProcessor(SystemConfig.table1())
-        assert (cpu._vec_issue is not None) == (mxs._np is not None)
-
-
-class TestMxsIssueRingEquivalence:
-    """The tag-validated ring tables must time identically to the dict
-    tables they replace (REPRO_PURE_PYTHON=1 selects the dicts)."""
-
-    pytestmark = pytest.mark.skipif(
-        "not __import__('repro.cpu.mxs', fromlist=['x']).vectorized_issue()",
-        reason="numpy issue tables disabled (REPRO_PURE_PYTHON or no numpy)",
-    )
-
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=4, deadline=None)
-    def test_ring_tables_bit_identical_to_dicts(self, seed):
-        import os
-        import pickle
-
-        from repro.core.profiles import Profiler
-        from repro.workloads.specjvm98 import benchmark
-
-        def run():
-            return pickle.dumps(
-                Profiler(cpu_model="mxs", window_instructions=2000,
-                         seed=seed).profile_benchmark(benchmark("jess"))
-            )
-
-        vectorized = run()
-        os.environ["REPRO_PURE_PYTHON"] = "1"
-        try:
-            assert run() == vectorized
-        finally:
-            os.environ.pop("REPRO_PURE_PYTHON", None)

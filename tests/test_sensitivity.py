@@ -1,8 +1,8 @@
-"""Tests for the configuration sensitivity-analysis module."""
+"""Tests for the public sweep API (configuration sensitivity analysis)."""
 
 import pytest
 
-from repro.core.sensitivity import (
+from repro.core.campaign import (
     PARAMETERS,
     sweep_parameter,
     sweep_spindown_threshold,

@@ -8,6 +8,7 @@ a degraded answer is *bit-identical* to the same fidelity rung run
 offline.
 """
 
+import socket
 import threading
 import time
 
@@ -147,6 +148,7 @@ class TestEstimateRequest:
         {"benchmark": "jess", "surprise": 1},
         {"benchmark": "jess", "disk": 9},
         {"benchmark": "jess", "disk": True},
+        {"benchmark": "jess", "disk": None},
         {"benchmark": "jess", "fidelity": "ledger"},
         {"benchmark": "jess", "cpu_model": "gem5"},
         {"benchmark": "jess", "deadline_s": -1},
@@ -159,6 +161,10 @@ class TestEstimateRequest:
     def test_engine_maps_request_error_to_400(self, cache_dir):
         reply = make_engine(cache_dir).estimate({"benchmark": "nope"})
         assert reply["status"] == 400 and "unknown benchmark" in reply["error"]
+
+    def test_null_disk_is_400_not_500(self, cache_dir):
+        reply = make_engine(cache_dir).estimate({"benchmark": "jess", "disk": None})
+        assert reply["status"] == 400 and "disk" in reply["error"]
 
 
 class TestDegradation:
@@ -352,8 +358,31 @@ class TestHTTPServer:
                 assert stats.payload["admission"]["admitted"] == 1
                 assert client.get("/nonsense").status == 404
                 assert client.post("/run", {"benchmark": "nope"}).status == 400
+                null_disk = client.post("/run", {"benchmark": "jess", "disk": None})
+                assert null_disk.status == 400
+                assert "disk" in null_disk.payload["error"]
         finally:
             running.stop()
+
+    @pytest.mark.parametrize("path", ["/nonsense", "/run"])
+    def test_non_numeric_content_length_is_400(self, cache_dir, path):
+        # The 404 route discards the body before replying, so it has to
+        # read the length too; a malformed one must not drop the
+        # connection without a reply.
+        running = _RunningServer(make_engine(cache_dir), queue_depth=2)
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", running.port), timeout=10
+            ) as conn:
+                conn.sendall(
+                    f"POST {path} HTTP/1.1\r\nHost: localhost\r\n"
+                    "Content-Length: ten\r\n\r\n".encode()
+                )
+                response = conn.makefile("rb").read()
+        finally:
+            running.stop()
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"must be an integer" in response
 
     def test_queue_flood_rejected_with_retry_after(self, cache_dir):
         engine = make_engine(

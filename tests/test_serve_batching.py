@@ -1,12 +1,13 @@
-"""Tests for the serve micro-batching layer (`serve/batching.py`).
+"""Tests for single-flight serving (`serve/batching.py`), the batch
+endpoint and pipelining client, and the batch engine's breakeven.
 
 The acceptance invariants: single-flight collapses identical
 concurrent requests to exactly one simulation whose reply every
-participant receives bit-identically; failure is per-item (400 for the
-one invalid item, 504 for the one expired deadline) and never stalls
-or fails the rest of the batch; the lockstep SoA prefetch path yields
-replies bit-identical to solo serving; and the breakeven constant is
-calibrated from bench data with sane fallbacks.
+participant receives bit-identically; a solo request runs on its own
+thread; failure is per-item (400 for the one invalid item, 504 for the
+one expired deadline) and never stalls or fails the rest of the batch;
+and the lockstep breakeven constant is calibrated from bench data with
+sane fallbacks.
 """
 
 import json
@@ -90,11 +91,8 @@ class TestSingleFlight:
 
         instance.softwatt.run = counting_run
         scheduler = BatchScheduler(engine)
-        try:
-            payload = {"benchmark": "db", "cpu_model": "mipsy"}
-            replies = submit_concurrently(scheduler, [payload] * 8)
-        finally:
-            scheduler.close()
+        payload = {"benchmark": "db", "cpu_model": "mipsy"}
+        replies = submit_concurrently(scheduler, [payload] * 8)
         assert all(reply["status"] == 200 for reply in replies)
         assert all(reply["coalesced"] is True for reply in replies)
         # Bit-identical bodies: every participant got a copy of the
@@ -118,62 +116,43 @@ class TestSingleFlight:
     def test_solo_requests_are_not_marked_coalesced(self):
         engine = make_engine()
         scheduler = BatchScheduler(engine)
-        try:
-            reply = scheduler.submit(
-                {"benchmark": "jess", "fidelity": "atomic"}
-            )
-        finally:
-            scheduler.close()
+        reply = scheduler.submit({"benchmark": "jess", "fidelity": "atomic"})
         assert reply["status"] == 200
         assert reply["coalesced"] is False
 
-    def test_submit_after_close_still_serves(self):
+    def test_solo_submit_runs_on_the_calling_thread(self):
         engine = make_engine()
+        threads_before = threading.active_count()
         scheduler = BatchScheduler(engine)
-        scheduler.close()
+        assert threading.active_count() == threads_before
+        callers = []
+        real_estimate = engine.estimate
+
+        def recording_estimate(*args, **kwargs):
+            callers.append(threading.current_thread())
+            return real_estimate(*args, **kwargs)
+
+        engine.estimate = recording_estimate
         reply = scheduler.submit({"benchmark": "jess", "fidelity": "atomic"})
         assert reply["status"] == 200
+        assert callers == [threading.current_thread()]
 
 
 class TestBatchedExecution:
-    def test_lockstep_prefetch_bit_identical_to_solo(self, cache_dir, offline):
-        if not cpu_batch.batched_execution():
-            pytest.skip("batched execution disabled")
-        names = ("jess", "db", "javac", "mtrt")
-        engine = make_engine()
-        scheduler = BatchScheduler(
-            engine, batch_window_ms=100.0, min_lanes=2
-        )
-        try:
-            replies = submit_concurrently(
-                scheduler,
-                [{"benchmark": n, "cpu_model": "mipsy"} for n in names],
-            )
-        finally:
-            scheduler.close()
-        for name, reply in zip(names, replies):
-            assert reply["status"] == 200
-            assert reply["result"] == offline[name]["result"], name
-        executed = scheduler.snapshot()["executed"]
-        assert sum(executed["batched"].values()) >= 2
-
     def test_per_item_deadline_expiry_does_not_stall_batch(self):
         engine = make_engine()
-        scheduler = BatchScheduler(engine, batch_window_ms=50.0)
-        try:
-            replies = submit_concurrently(
-                scheduler,
-                [
-                    {"benchmark": "jess", "fidelity": "atomic"},
-                    {
-                        "benchmark": "db",
-                        "fidelity": "atomic",
-                        "deadline_s": 0.0,
-                    },
-                ],
-            )
-        finally:
-            scheduler.close()
+        scheduler = BatchScheduler(engine)
+        replies = submit_concurrently(
+            scheduler,
+            [
+                {"benchmark": "jess", "fidelity": "atomic"},
+                {
+                    "benchmark": "db",
+                    "fidelity": "atomic",
+                    "deadline_s": 0.0,
+                },
+            ],
+        )
         assert replies[0]["status"] == 200
         assert replies[1]["status"] == 504
         assert "deadline" in replies[1]["error"]
@@ -181,29 +160,14 @@ class TestBatchedExecution:
     def test_invalid_item_fails_alone(self):
         engine = make_engine()
         scheduler = BatchScheduler(engine)
-        try:
-            replies = scheduler.submit_many(
-                [
-                    {"benchmark": "jess", "fidelity": "atomic"},
-                    {"benchmark": "not-a-benchmark"},
-                    {"benchmark": "jess", "bogus_field": 1},
-                ]
-            )
-        finally:
-            scheduler.close()
+        replies = scheduler.submit_many(
+            [
+                {"benchmark": "jess", "fidelity": "atomic"},
+                {"benchmark": "not-a-benchmark"},
+                {"benchmark": "jess", "bogus_field": 1},
+            ]
+        )
         assert [r["status"] for r in replies] == [200, 400, 400]
-
-    def test_occupancy_histogram_counts_batches(self):
-        engine = make_engine()
-        scheduler = BatchScheduler(engine)
-        try:
-            scheduler.submit({"benchmark": "jess", "fidelity": "atomic"})
-        finally:
-            scheduler.close()
-        snapshot = scheduler.snapshot()
-        assert snapshot["batches"] >= 1
-        assert snapshot["occupancy"].get("1", 0) >= 1
-        assert snapshot["executed"]["solo"].get("atomic") == 1
 
 
 class _RunningServer:
@@ -227,10 +191,7 @@ class _RunningServer:
 class TestBatchEndpoint:
     def test_batch_mixed_items_per_item_status(self, cache_dir, offline):
         engine = make_engine(cache_dir)
-        scheduler = BatchScheduler(engine)
-        running = _RunningServer(
-            engine, queue_depth=8, scheduler=scheduler
-        )
+        running = _RunningServer(engine, queue_depth=8)
         try:
             with ServeClient(port=running.port) as client:
                 reply = client.run_batch(
@@ -252,9 +213,7 @@ class TestBatchEndpoint:
 
     def test_batch_rejects_non_list_and_oversize(self, cache_dir):
         engine = make_engine(cache_dir)
-        running = _RunningServer(
-            engine, queue_depth=8, scheduler=BatchScheduler(engine)
-        )
+        running = _RunningServer(engine, queue_depth=8)
         try:
             with ServeClient(port=running.port) as client:
                 assert client.run_batch([]).status == 400
@@ -267,8 +226,7 @@ class TestBatchEndpoint:
 
     def test_identical_items_coalesce_across_connections(self, cache_dir):
         engine = make_engine(cache_dir)
-        scheduler = BatchScheduler(engine)
-        running = _RunningServer(engine, queue_depth=64, scheduler=scheduler)
+        running = _RunningServer(engine, queue_depth=64)
         try:
             bodies = [None] * 6
 
@@ -292,30 +250,11 @@ class TestBatchEndpoint:
         finally:
             running.stop()
 
-    def test_no_scheduler_mode_still_serves_batch(self, cache_dir):
-        engine = make_engine(cache_dir)
-        running = _RunningServer(engine, queue_depth=8)
-        try:
-            with ServeClient(port=running.port) as client:
-                reply = client.run_batch(
-                    [{"benchmark": "jess"}, {"benchmark": "nope"}]
-                )
-                assert reply.status == 200
-                assert [i["status"] for i in reply.payload["items"]] == [
-                    200,
-                    400,
-                ]
-                assert "batching" not in client.stats().payload
-        finally:
-            running.stop()
-
 
 class TestPipelinedClient:
     def test_pipelined_requests_share_one_connection(self, cache_dir):
         engine = make_engine(cache_dir)
-        running = _RunningServer(
-            engine, queue_depth=8, scheduler=BatchScheduler(engine)
-        )
+        running = _RunningServer(engine, queue_depth=8)
         try:
             with ServeClient(port=running.port) as client:
                 replies = client.run_pipelined(
@@ -393,8 +332,6 @@ class TestCalibratedBreakeven:
         self._reset()
 
     def test_prefetch_profiles_honors_min_runs(self):
-        if not cpu_batch.batched_execution():
-            pytest.skip("batched execution disabled")
         softwatt = SoftWatt(
             cpu_model="mipsy",
             window_instructions=WINDOW,
