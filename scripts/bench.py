@@ -33,10 +33,7 @@ Times the three layers the performance work targets:
   warm ``POST /run`` requests against 32 direct warm
   ``engine.estimate`` calls; every response must be bit-identical to
   the direct reply and the served path must clear a 2x requests/sec
-  gate.  The
-  ``batched_suite`` stage also fits the serial-vs-batched breakeven
-  lane count (``calibrated_min_runs``) that ``cpu/batch.py`` reads
-  back at runtime.
+  gate.
 
 Every comparison asserts bit-identical results (bounded error for the
 fidelity tiers) and exits non-zero on divergence.  ``--quick`` shrinks
@@ -46,10 +43,8 @@ the window and repeats for CI smoke runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
-import pickle
 import platform
 import shutil
 import sys
@@ -64,7 +59,6 @@ from repro.core.campaign import SweepCampaign, sweep_source  # noqa: E402
 from repro.core.profiles import Profiler  # noqa: E402
 from repro.core.softwatt import SoftWatt  # noqa: E402
 from repro.core.timeline import TimelineSimulator  # noqa: E402
-from repro.cpu.batch import BatchTask, profile_benchmarks_batched  # noqa: E402
 from repro.stats.postprocess import total_energy_j  # noqa: E402
 from repro.workloads.specjvm98 import BENCHMARK_NAMES, benchmark  # noqa: E402
 
@@ -96,24 +90,6 @@ def _profile_instructions(profile) -> int:
     for phase in profile.phases.values():
         total += sum(chunk.instructions for chunk in phase.chunks)
     return total
-
-
-def _batch_configs(count: int) -> list:
-    """Structurally distinct configs for the batched-suite lanes
-    (mirrors the tiered-campaign structural axis)."""
-    base = SystemConfig.table1()
-    configs = []
-    for index in range(count):
-        tlb = dataclasses.replace(
-            base.tlb, entries=(48, 64, 96, 128)[index % 4]
-        )
-        l2 = dataclasses.replace(
-            base.l2,
-            size_bytes=(512 * 1024, 1024 * 1024)[(index // 4) % 2],
-            associativity=(2, 4)[(index // 8) % 2] if index >= 8 else base.l2.associativity,
-        )
-        configs.append(dataclasses.replace(base, tlb=tlb, l2=l2))
-    return configs
 
 
 def _suite_fingerprint(results) -> list:
@@ -172,111 +148,6 @@ def main() -> int:
         print(f"hot loop ({model}, jess, window {window}): "
               f"{timing['best_s']:.3f} s best of {args.repeats} "
               f"({timing['instructions_per_sec']:,.0f} instr/s)")
-
-    # Batched SoA execution: many (config, benchmark) lanes advanced in
-    # lockstep by repro.cpu.batch vs the serial scalar Mipsy core.  The
-    # stage uses its own lane count and window (the batch engine's
-    # sweet spot is wide batches); the serial arm times one config's
-    # six benchmarks and the identity check compares those lanes
-    # field-for-field against the batched output.
-    n_configs = 4 if args.quick else 24
-    batch_window = 12_000 if args.quick else 60_000
-    configs = _batch_configs(n_configs)
-    tasks = [
-        BatchTask(
-            spec=benchmark(name), config=config,
-            window_instructions=batch_window, seed=seed,
-        )
-        for config in configs
-        for name in BENCHMARK_NAMES
-    ]
-    serial_timing = _time(
-        lambda: [
-            Profiler(
-                config=configs[0], cpu_model="mipsy",
-                window_instructions=batch_window, seed=seed,
-            ).profile_benchmark(benchmark(name))
-            for name in BENCHMARK_NAMES
-        ],
-        1,
-    )
-    serial_profiles = serial_timing.pop("_result")
-    serial_instructions = sum(
-        _profile_instructions(p) for p in serial_profiles
-    )
-    batched_timing = _time(lambda: profile_benchmarks_batched(tasks), 1)
-    batched_profiles = batched_timing.pop("_result")
-    batched_instructions = sum(
-        _profile_instructions(p) for p in batched_profiles
-    )
-    # A second, small batched arm over the serial arm's own lanes:
-    # two points on t_batched(L) = a + b*L fit the lockstep setup
-    # cost (a) and marginal lane cost (b); the serial arm gives the
-    # scalar per-lane cost (c).  The serial-vs-batched breakeven
-    # a / (c - b) replaces the hardcoded BATCH_MIN_RUNS default at
-    # runtime (cpu/batch.batch_min_runs reads it back from this
-    # stage in BENCH_profiling.json).
-    small_tasks = tasks[: len(BENCHMARK_NAMES)]
-    small_timing = _time(
-        lambda: profile_benchmarks_batched(small_tasks), 1
-    )
-    small_timing.pop("_result")
-    identical = all(
-        pickle.dumps(batched_profiles[i]) == pickle.dumps(serial_profiles[i])
-        for i in range(len(BENCHMARK_NAMES))
-    )
-    serial_ips = serial_instructions / serial_timing["best_s"]
-    batched_ips = batched_instructions / batched_timing["best_s"]
-    lanes_small = len(small_tasks)
-    lanes_big = len(tasks)
-    marginal_s = (
-        (batched_timing["best_s"] - small_timing["best_s"])
-        / (lanes_big - lanes_small)
-    )
-    setup_s = small_timing["best_s"] - marginal_s * lanes_small
-    scalar_lane_s = serial_timing["best_s"] / lanes_small
-    calibration = {
-        "setup_s": round(setup_s, 6),
-        "batched_lane_s": round(marginal_s, 6),
-        "scalar_lane_s": round(scalar_lane_s, 6),
-    }
-    calibrated_min_runs = None
-    if scalar_lane_s > marginal_s and setup_s > 0:
-        breakeven = setup_s / (scalar_lane_s - marginal_s)
-        calibrated_min_runs = min(max(int(breakeven) + 1, 4), 512)
-    elif scalar_lane_s > marginal_s:
-        calibrated_min_runs = 4  # batching wins from the start
-    batch_stage: dict = {
-        "lanes": len(tasks),
-        "window_instructions": batch_window,
-        "serial_sample_lanes": len(BENCHMARK_NAMES),
-        "serial": {
-            **serial_timing,
-            "instructions": serial_instructions,
-            "instructions_per_sec": round(serial_ips, 1),
-        },
-        "batched": {
-            **batched_timing,
-            "instructions": batched_instructions,
-            "instructions_per_sec": round(batched_ips, 1),
-        },
-        "speedup": round(batched_ips / serial_ips, 2),
-        "bit_identical_to_serial": identical,
-        "small": {**small_timing, "lanes": lanes_small},
-        "calibration": calibration,
-    }
-    if calibrated_min_runs is not None:
-        batch_stage["calibrated_min_runs"] = calibrated_min_runs
-    print(f"batched suite ({len(tasks)} lanes, window {batch_window}): "
-          f"serial {serial_ips:,.0f} instr/s, batched "
-          f"{batched_ips:,.0f} instr/s ({batch_stage['speedup']}x, "
-          f"bit-identical: {identical}; calibrated breakeven "
-          f"{calibrated_min_runs} lanes)")
-    if not identical:
-        print("ERROR: batched execution diverged from serial scalar",
-              file=sys.stderr)
-        return 1
-    report["batched_suite"] = batch_stage
 
     # Layer 1: cold suite, serial vs process-pool fan-out.
     serial = _time(

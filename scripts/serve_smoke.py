@@ -259,12 +259,16 @@ def batch_smoke() -> int:
         thread.start()
 
     # SIGTERM while the batches are in flight: every admitted batch
-    # must still be answered in full before the process exits 0.
+    # must still be answered in full before the process exits 0.  The
+    # signal waits until all of them are admitted; one still connecting
+    # when the drain starts is refused with 503, which is correct.
     probe = ServeClient(port=port, timeout_s=30.0)
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
         stats = probe.stats()
-        if stats.ok and stats.payload["admission"]["in_flight"] >= 1:
+        admission = stats.payload["admission"] if stats.ok else {}
+        if (admission.get("admitted", 0) >= len(batches)
+                and admission["in_flight"] >= 1):
             break
         time.sleep(0.02)
     else:

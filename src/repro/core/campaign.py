@@ -582,8 +582,9 @@ class SweepCampaign:
         )
         return point_from_result(planned.value, result)
 
-    def _point_softwatt(self, planned: PlannedPoint) -> SoftWatt:
-        return SoftWatt(
+    def _structural_point(self, planned: PlannedPoint) -> SweepPoint:
+        """Full detailed simulation at this point (fresh SoftWatt)."""
+        softwatt = SoftWatt(
             config=planned.config,
             cpu_model=self.cpu_model,
             window_instructions=self.window_instructions,
@@ -592,13 +593,6 @@ class SweepCampaign:
             cache_dir=self.cache_dir,
             use_cache=self.use_cache,
         )
-
-    def _structural_point(
-        self, planned: PlannedPoint, softwatt: SoftWatt | None = None
-    ) -> SweepPoint:
-        """Full detailed simulation at this point (fresh SoftWatt)."""
-        if softwatt is None:
-            softwatt = self._point_softwatt(planned)
         result = softwatt.run(
             self.benchmark, disk=planned.policy, idle_policy=self.idle_policy
         )
@@ -667,31 +661,11 @@ class SweepCampaign:
             )
             for (index, _), point in zip(structural, points):
                 results[index] = point
-        # Structural points left for this process: with the in-order
-        # model, profile them all in one lockstep batch (one lane per
-        # point's (benchmark, config)) before walking the plan — the
-        # per-point SoftWatt instances then hit their primed caches.
-        prebuilt: dict[int, SoftWatt] = {}
-        local_structural = [
-            (index, planned)
-            for index, planned in structural
-            if index not in results
-        ]
-        if self.cpu_model == "mipsy" and len(local_structural) > 1:
-            prebuilt = {
-                index: self._point_softwatt(planned)
-                for index, planned in local_structural
-            }
-            SoftWatt.prefetch_profiles(
-                list(prebuilt.values()), (self.benchmark,)
-            )
         for index, planned in enumerate(plan):
             if index in results:
                 continue
             if planned.tier is Tier.STRUCTURAL:
-                results[index] = self._structural_point(
-                    planned, softwatt=prebuilt.get(index)
-                )
+                results[index] = self._structural_point(planned)
             elif planned.tier is Tier.TIMELINE:
                 results[index] = self._timeline_point(planned)
             else:

@@ -200,25 +200,6 @@ class Profiler:
     # Benchmark phases
     # ------------------------------------------------------------------
 
-    def lane_task(self, spec: BenchmarkSpec):
-        """This profiler's parameters as one lane of a lockstep batch.
-
-        The returned :class:`~repro.cpu.batch.BatchTask` describes
-        exactly the simulation :meth:`profile_benchmark` would run, so
-        externally assembled lane sets (the campaign tier-S prebuild,
-        the serve batch scheduler) stay bit-identical to profiling here.
-        """
-        from repro.cpu.batch import BatchTask  # noqa: PLC0415 — keep numpy lazy
-
-        return BatchTask(
-            spec=spec,
-            config=self.config,
-            window_instructions=self.window_instructions,
-            startup_chunks=self.startup_chunks,
-            steady_chunks=self.steady_chunks,
-            seed=self.seed,
-        )
-
     def profile_benchmark(self, spec: BenchmarkSpec) -> BenchmarkProfile:
         """Measure every phase of ``spec`` sequentially (cold start)."""
         self.detailed_runs += 1

@@ -26,7 +26,7 @@ optional accelerators sit on top:
 from __future__ import annotations
 
 from repro.config.diskcfg import DiskPowerPolicy, disk_configuration
-from repro.config.system import FidelityConfig, FidelityTier, SystemConfig
+from repro.config.system import FidelityConfig, SystemConfig
 from repro.core.checkpoint import (
     CheckpointError,
     ProfileCache,
@@ -154,109 +154,30 @@ class SoftWatt:
         """
         if isinstance(spec, str):
             spec = benchmark(spec)
+        profile = self._cached_profile(spec)
+        if profile is None:
+            profile = self.profiler.profile_benchmark(spec)
+            self._profiles[spec.name] = profile
+            if self.cache is not None:
+                self.cache.store_profile(self._profile_key(spec), profile)
+        return profile
+
+    def _cached_profile(self, spec: BenchmarkSpec) -> BenchmarkProfile | None:
+        """``spec``'s profile from memory, else from the persistent cache
+        (kept in memory from then on), else ``None``.  A same-named but
+        different spec (a ``dataclasses.replace`` variant of a built-in
+        benchmark) misses."""
         cached = self._profiles.get(spec.name)
         if cached is not None and cached.spec == spec:
             return cached
-        # Re-profile when a same-named spec differs (e.g. a
-        # dataclasses.replace variant of a built-in benchmark).
-        profile = None
-        if self.cache is not None:
-            key = self._profile_key(spec)
-            profile = self.cache.load_profile(key, spec=spec, config=self.config)
-        if profile is None:
-            profile = self.profiler.profile_benchmark(spec)
-            if self.cache is not None:
-                self.cache.store_profile(key, profile)
-        self._profiles[spec.name] = profile
-        return profile
-
-    def pending_lanes(
-        self, names=BENCHMARK_NAMES
-    ) -> "list[tuple[SoftWatt, BenchmarkSpec]]":
-        """Uncached (instance, spec) pairs eligible for lockstep lanes.
-
-        The prepared-lanes entry point below the campaign layer: callers
-        (the campaign tier-S prebuild, the serve batch scheduler)
-        assemble pairs from several instances, turn each into a
-        :meth:`Profiler.lane_task`, and hand the set to
-        :func:`~repro.cpu.batch.profile_benchmarks_batched`.  Pairs are
-        eligible only on the detailed Mipsy tier (the SoA engine
-        implements exactly that pipeline; sub-detailed tiers are already
-        the fast path) and only when they miss both the in-memory and
-        persistent caches — persistent-cache hits are loaded into memory
-        as a side effect, so a later :meth:`profile` call is a hit.
-        """
-        if self.cpu_model != "mipsy":
-            return []
-        if self.config.fidelity.tier is not FidelityTier.DETAILED:
-            return []
-        pairs: list[tuple[SoftWatt, BenchmarkSpec]] = []
-        for name in names:
-            spec = benchmark(name) if isinstance(name, str) else name
-            cached = self._profiles.get(spec.name)
-            if cached is not None and cached.spec == spec:
-                continue
-            if self.cache is not None:
-                profile = self.cache.load_profile(
-                    self._profile_key(spec), spec=spec, config=self.config
-                )
-                if profile is not None:
-                    self._profiles[spec.name] = profile
-                    continue
-            pairs.append((self, spec))
-        return pairs
-
-    def adopt_profile(self, spec: BenchmarkSpec, profile) -> None:
-        """Store an externally computed lane profile into the caches.
-
-        The profile must be bit-identical to what :meth:`profile` would
-        compute (the batched SoA engine guarantees this); it is counted
-        as a detailed run and persisted like a locally computed one.
-        """
-        self._profiles[spec.name] = profile
-        self.profiler.detailed_runs += 1
-        if self.cache is not None:
-            self.cache.store_profile(self._profile_key(spec), profile)
-
-    @staticmethod
-    def prefetch_profiles(
-        instances: "list[SoftWatt]",
-        names=BENCHMARK_NAMES,
-        *,
-        min_runs: int | None = None,
-    ) -> int:
-        """Batch-profile uncached (instance, benchmark) pairs in lockstep.
-
-        Every Mipsy run across ``instances`` × ``names`` that misses
-        both the in-memory and persistent caches becomes one lane of the
-        batched SoA engine (:mod:`repro.cpu.batch`); results — which
-        are bit-identical to each instance profiling serially — are
-        stored back into each instance's caches, so later
-        :meth:`profile` calls are hits.  A structural sweep over many
-        configurations therefore costs one lockstep simulation instead
-        of one scalar simulation per point.
-
-        No-op (returning 0) when fewer than ``min_runs`` runs are
-        pending — the scalar path wins below the lockstep breakeven.
-        ``min_runs`` defaults to the calibrated
-        :func:`~repro.cpu.batch.batch_min_runs`.  Returns the number of
-        profiles computed.
-        """
-        from repro.cpu.batch import (  # noqa: PLC0415 — keep numpy lazy
-            batch_min_runs,
-            profile_benchmarks_batched,
+        if self.cache is None:
+            return None
+        profile = self.cache.load_profile(
+            self._profile_key(spec), spec=spec, config=self.config
         )
-
-        pairs: list[tuple[SoftWatt, BenchmarkSpec]] = []
-        for sw in instances:
-            pairs.extend(sw.pending_lanes(names))
-        if len(pairs) < (batch_min_runs() if min_runs is None else min_runs):
-            return 0
-        tasks = [sw.profiler.lane_task(spec) for sw, spec in pairs]
-        profiles = profile_benchmarks_batched(tasks)
-        for (sw, spec), profile in zip(pairs, profiles):
-            sw.adopt_profile(spec, profile)
-        return len(pairs)
+        if profile is not None:
+            self._profiles[spec.name] = profile
+        return profile
 
     def profile_many(
         self,
@@ -277,9 +198,6 @@ class SoftWatt:
         workers = self.workers if workers is None else workers
         specs = [benchmark(name) if isinstance(name, str) else name for name in names]
         report = RunReport()
-        # Uncached mipsy runs past the lockstep breakeven go through the
-        # batched SoA engine in one pass (bit-identical to the loop).
-        SoftWatt.prefetch_profiles([self], specs)
         if workers <= 1:
             profiles = {spec.name: self.profile(spec) for spec in specs}
             return self._attach_report(profiles, report)
@@ -290,19 +208,7 @@ class SoftWatt:
             profile_benchmarks,
         )
 
-        pending: list[BenchmarkSpec] = []
-        for spec in specs:
-            cached = self._profiles.get(spec.name)
-            if cached is not None and cached.spec == spec:
-                continue
-            if self.cache is not None:
-                profile = self.cache.load_profile(
-                    self._profile_key(spec), spec=spec, config=self.config
-                )
-                if profile is not None:
-                    self._profiles[spec.name] = profile
-                    continue
-            pending.append(spec)
+        pending = [spec for spec in specs if self._cached_profile(spec) is None]
         profiler = self.profiler
         tasks = [
             ProfileBenchmarkTask(

@@ -26,9 +26,6 @@ reference rates per cycle — while remaining fast enough for pure
 Python.  All port activity is recorded per service label so the power
 post-processor can attribute energy to software modes.
 
-The out-of-order event ordering is inherently scalar (each
-instruction's issue cycle feeds the next one's dependence chain), so
-unlike the in-order Mipsy core this model is not batched across runs.
 Issue bandwidth and functional-unit contention are booked in per-cycle
 dict tables, pruned behind the commit horizon every ``_PRUNE_INTERVAL``
 instructions.

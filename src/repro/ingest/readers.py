@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 from typing import TYPE_CHECKING, Iterable
 
@@ -70,6 +71,10 @@ class ExternalRecord:
     """Raw event counts by external name, exactly as logged."""
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise IngestError(
+                f"interval bounds must be finite: [{self.start_s}, {self.end_s}]"
+            )
         if self.end_s < self.start_s:
             raise IngestError(
                 f"interval ends before it starts: "
@@ -128,6 +133,8 @@ class ExternalCounterLog:
 def _event_value(raw, *, context: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise IngestError(f"{context}: event value {raw!r} is not a number")
+    if not math.isfinite(raw):
+        raise IngestError(f"{context}: event value {raw} is not finite")
     if raw < 0:
         raise IngestError(f"{context}: event value {raw} is negative")
     return raw

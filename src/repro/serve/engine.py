@@ -28,6 +28,7 @@ exactly as ``SoftWatt(fidelity=rung)`` would be).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -50,18 +51,70 @@ DETAILED = "detailed"
 LEDGER_ONLY = "ledger"
 FIDELITY_RUNGS = (DETAILED, "sampled", "atomic")
 
-_RUN_FIELDS = {
+_SHARED_FIELDS = {
     "benchmark": str,
     "disk": int,
     "cpu_model": str,
-    "fidelity": str,
     "deadline_s": (int, float),
-    "idle_policy": str,
 }
+"""Fields ``/run`` and ``/sweep`` share, with their JSON types."""
+
+_RUN_FIELDS = {**_SHARED_FIELDS, "fidelity": str, "idle_policy": str}
+_SWEEP_FIELDS = {**_SHARED_FIELDS, "parameter": str, "values": list, "tier": str}
 
 
 class RequestError(ValueError):
     """A malformed request payload (maps to HTTP 400)."""
+
+
+def _typed_fields(payload: object, types: dict) -> dict:
+    """``payload`` as a JSON object whose fields all have their ``types``
+    (``null`` passes; the value checks decide what it means)."""
+    if not isinstance(payload, dict):
+        raise RequestError("request body must be a JSON object")
+    unknown = set(payload) - set(types)
+    if unknown:
+        raise RequestError(
+            f"unknown request field(s): {', '.join(sorted(unknown))}"
+        )
+    for name, value in payload.items():
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, types[name])
+        ):
+            raise RequestError(f"field {name!r} has the wrong type")
+    return payload
+
+
+def _shared_values(
+    payload: dict, *, disk: int, benchmark: str | None = None
+) -> dict:
+    """Validated values of the fields ``/run`` and ``/sweep`` share; ``disk``
+    and ``benchmark`` are the endpoint's defaults (``None``: must be named)."""
+    benchmark = payload.get("benchmark", benchmark)
+    if benchmark is None:
+        raise RequestError("request must name a benchmark")
+    if benchmark not in BENCHMARK_NAMES:
+        raise RequestError(
+            f"unknown benchmark {benchmark!r}; choose from "
+            f"{', '.join(BENCHMARK_NAMES)}"
+        )
+    cpu_model = payload.get("cpu_model", "mxs")
+    if cpu_model not in ("mxs", "mipsy"):
+        raise RequestError("cpu_model must be 'mxs' or 'mipsy'")
+    disk = payload.get("disk", disk)
+    if disk is None or not 1 <= disk <= 4:
+        raise RequestError("disk must be a configuration number 1-4")
+    deadline_s = payload.get("deadline_s")
+    if deadline_s is not None and not (
+        math.isfinite(deadline_s) and deadline_s >= 0
+    ):
+        raise RequestError("deadline_s must be a finite non-negative number")
+    return {
+        "benchmark": benchmark,
+        "cpu_model": cpu_model,
+        "disk": disk,
+        "deadline_s": None if deadline_s is None else float(deadline_s),
+    }
 
 
 @dataclass(frozen=True)
@@ -80,49 +133,19 @@ class EstimateRequest:
 
     @classmethod
     def from_payload(cls, payload: object, *, index: int = -1) -> "EstimateRequest":
-        if not isinstance(payload, dict):
-            raise RequestError("request body must be a JSON object")
-        unknown = set(payload) - set(_RUN_FIELDS)
-        if unknown:
-            raise RequestError(
-                f"unknown request field(s): {', '.join(sorted(unknown))}"
-            )
-        if "benchmark" not in payload:
-            raise RequestError("request must name a benchmark")
-        for name, types in _RUN_FIELDS.items():
-            if name in payload and payload[name] is not None:
-                value = payload[name]
-                if isinstance(value, bool) or not isinstance(value, types):
-                    raise RequestError(f"field {name!r} has the wrong type")
-        benchmark = payload["benchmark"]
-        if benchmark not in BENCHMARK_NAMES:
-            raise RequestError(
-                f"unknown benchmark {benchmark!r}; choose from "
-                f"{', '.join(BENCHMARK_NAMES)}"
-            )
-        cpu_model = payload.get("cpu_model", "mxs")
-        if cpu_model not in ("mxs", "mipsy"):
-            raise RequestError("cpu_model must be 'mxs' or 'mipsy'")
+        payload = _typed_fields(payload, _RUN_FIELDS)
+        shared = _shared_values(payload, disk=1)
         fidelity = payload.get("fidelity", DETAILED)
         if fidelity not in FIDELITY_RUNGS:
             raise RequestError(
                 f"fidelity must be one of {', '.join(FIDELITY_RUNGS)}"
             )
-        disk = payload.get("disk", 1)
-        if disk is None or not 1 <= disk <= 4:
-            raise RequestError("disk must be a configuration number 1-4")
-        deadline_s = payload.get("deadline_s")
-        if deadline_s is not None and deadline_s < 0:
-            raise RequestError("deadline_s must be non-negative")
         idle_policy = payload.get("idle_policy", "busywait")
         if idle_policy not in ("busywait", "halt"):
             raise RequestError("idle_policy must be 'busywait' or 'halt'")
         return cls(
-            benchmark=benchmark,
-            disk=disk,
-            cpu_model=cpu_model,
+            **shared,
             fidelity=fidelity,
-            deadline_s=None if deadline_s is None else float(deadline_s),
             idle_policy=idle_policy,
             index=index,
         )
@@ -544,30 +567,28 @@ class EstimationEngine:
         admission gate, not concurrency, is their backpressure.
         """
         self._count("requests")
-        if not isinstance(payload, dict):
+        try:
+            payload = _typed_fields(payload, _SWEEP_FIELDS)
+            shared = _shared_values(payload, disk=2, benchmark="jess")
+            parameter = payload.get("parameter")
+            values = payload.get("values")
+            if parameter is None or values is None:
+                raise RequestError(
+                    "sweep needs 'parameter' (string) and 'values' (list)"
+                )
+            if not all(
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                for value in values
+            ):
+                raise RequestError("sweep values must be finite numbers")
+        except RequestError as error:
             self._count("failed")
-            return {"status": 400, "error": "request body must be a JSON object"}
-        allowed = {
-            "parameter", "values", "benchmark", "disk", "cpu_model",
-            "tier", "deadline_s",
-        }
-        unknown = set(payload) - allowed
-        if unknown:
-            self._count("failed")
-            return {
-                "status": 400,
-                "error": f"unknown request field(s): "
-                f"{', '.join(sorted(unknown))}",
-            }
-        parameter = payload.get("parameter")
-        values = payload.get("values")
-        if not isinstance(parameter, str) or not isinstance(values, list):
-            self._count("failed")
-            return {
-                "status": 400,
-                "error": "sweep needs 'parameter' (string) and 'values' (list)",
-            }
-        deadline_s = payload.get("deadline_s", self.default_deadline_s)
+            return {"status": 400, "error": str(error)}
+        deadline_s = shared["deadline_s"]
+        if deadline_s is None:
+            deadline_s = self.default_deadline_s
         started = self._clock()
         with self._sweep_lock:
             remaining = (
@@ -582,21 +603,20 @@ class EstimationEngine:
                     "status": 504,
                     "error": f"deadline of {deadline_s:g}s expired",
                 }
-            campaign = SweepCampaign(
-                benchmark=payload.get("benchmark", "jess"),
-                disk=payload.get("disk", 2),
-                cpu_model=payload.get("cpu_model", "mxs"),
-                window_instructions=self.window_instructions,
-                seed=self.seed,
-                workers=self.workers,
-                cache_dir=self.cache_dir,
-                use_cache=self.use_cache,
-                tier=payload.get("tier"),
-                task_timeout=remaining,
-                retries=self.retries,
-            )
             try:
-                result = campaign.run(parameter, values)
+                result = SweepCampaign(
+                    benchmark=shared["benchmark"],
+                    disk=shared["disk"],
+                    cpu_model=shared["cpu_model"],
+                    window_instructions=self.window_instructions,
+                    seed=self.seed,
+                    workers=self.workers,
+                    cache_dir=self.cache_dir,
+                    use_cache=self.use_cache,
+                    tier=payload.get("tier"),
+                    task_timeout=remaining,
+                    retries=self.retries,
+                ).run(parameter, values)
             except ValueError as error:
                 self._count("failed")
                 return {"status": 400, "error": str(error)}

@@ -30,7 +30,9 @@ from repro.core.campaign import (
     Tier,
     changed_leaves,
     classify,
+    point_from_result,
 )
+from repro.core.softwatt import SoftWatt
 from repro.resilience.faults import FaultPlan
 
 GOLDEN = json.loads(
@@ -181,6 +183,28 @@ class TestTimelineTier:
         campaign = SweepCampaign(**{**SETTINGS, "disk": policy})
         plan = campaign.plan("vdd", [BASE_VDD])
         assert plan[0].tier is Tier.LEDGER
+
+
+class TestMipsyStructuralSweep:
+    def test_in_process_points_match_offline_runs(self):
+        """An in-process Mipsy structural grid simulates each point on
+        the scalar core exactly as a standalone SoftWatt would."""
+        settings = {**SETTINGS, "cpu_model": "mipsy"}
+        sizes = [16384, 65536]
+        sweep = SweepCampaign(workers=1, **settings).run_grid(
+            {"l1_size": sizes}
+        )
+        assert sweep.tiers == ("STRUCTURAL",) * 2
+        for size, point in zip(sizes, sweep.points):
+            offline = SoftWatt(
+                config=PARAMETERS["l1_size"](BASE, size),
+                cpu_model="mipsy",
+                window_instructions=settings["window_instructions"],
+                seed=settings["seed"],
+                use_cache=False,
+            ).run(settings["benchmark"], disk=settings["disk"])
+            expected = point_from_result(point.value, offline)
+            assert _point_fields(point) == _point_fields(expected), size
 
 
 # ---------------------------------------------------------------------------

@@ -77,24 +77,3 @@ def test_run_totals_bit_identical(golden, results):
 def test_budget_order_follows_registry(results):
     for key, result in results.items():
         assert tuple(result.power_budget()) == CATEGORIES, key
-
-
-def test_batched_prefetch_reproduces_golden_energies(golden):
-    """End-to-end pin of the batched SoA engine: profiles prefetched in
-    one lockstep pass must yield the exact golden run energies."""
-    names = tuple(
-        key.split("/")[1] for key in golden["benchmarks"]
-        if key.startswith("mipsy/")
-    )
-    softwatt = SoftWatt(
-        cpu_model="mipsy",
-        window_instructions=golden["window_instructions"],
-        seed=golden["seed"],
-        use_cache=False,
-    )
-    assert SoftWatt.prefetch_profiles([softwatt], names, min_runs=2) == len(names)
-    for name in names:
-        result = softwatt.run(name, disk=golden["disk"])
-        expected = golden["benchmarks"][f"mipsy/{name}"]
-        assert result.total_energy_j == expected["total_energy_j"], name
-        assert result.disk_energy_j == expected["disk_energy_j"], name

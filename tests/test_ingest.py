@@ -21,6 +21,7 @@ from repro.core.softwatt import SoftWatt
 from repro.ingest import (
     CounterMapping,
     DuplicateTargetError,
+    ExternalRecord,
     IngestError,
     MappingError,
     MappingFormatError,
@@ -127,6 +128,40 @@ class TestReaders:
         }))
         with pytest.raises(IngestError, match="negative"):
             read_counter_log(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_event_value_rejected(self, tmp_path, value):
+        path = tmp_path / "log.csv"
+        path.write_text(f"time_s,value,event\n0.5,{value},cycles\n")
+        with pytest.raises(IngestError, match="not finite"):
+            read_counter_log(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_json_event_value_rejected(self, tmp_path, value):
+        # Python's json module parses the bare NaN/Infinity literals.
+        path = tmp_path / "log.json"
+        path.write_text(
+            '{"version": 1, "records": [{"start_s": 0.0, "end_s": 1.0, '
+            f'"events": {{"cycles": {value}}}}}]}}'
+        )
+        with pytest.raises(IngestError, match="not finite"):
+            read_counter_log(path)
+
+    @pytest.mark.parametrize("time_s", ["nan", "inf"])
+    def test_non_finite_csv_timestamp_rejected(self, tmp_path, time_s):
+        path = tmp_path / "log.csv"
+        path.write_text(f"time_s,value,event\n{time_s},5,cycles\n")
+        with pytest.raises(IngestError, match="finite"):
+            read_counter_log(path)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf")),
+         (float("-inf"), 1.0)],
+    )
+    def test_record_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(IngestError, match="finite"):
+            ExternalRecord(start_s=bounds[0], end_s=bounds[1], events={})
 
     def test_csv_header_enforced(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -456,6 +491,17 @@ class TestIngestCLI:
             ["ingest", str(tmp_path / "absent.csv"), "--mapping", "identity"]
         ) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_nan_cycles_exits_2(self, tmp_path, capsys):
+        lines = SAMPLE_CSV.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.endswith(",cycles"))
+        time_s = lines[row].split(",")[0]
+        lines[row] = f"{time_s},nan,cycles"
+        log = tmp_path / "nan.csv"
+        log.write_text("\n".join(lines) + "\n")
+        mapping = str(EXAMPLES / "mappings" / "perf_generic.json")
+        assert main(["ingest", str(log), "--mapping", mapping]) == 2
+        assert "not finite" in capsys.readouterr().err
 
     def test_starved_component_exits_2(self, tmp_path, capsys):
         document = identity_document()

@@ -167,105 +167,3 @@ class TestTimingTreeProperties:
             tree.exit(stack.pop())
         assert tree.current_path == ("root",)
         assert tree.root.cycles == pytest.approx(len(names))
-
-
-class TestBatchedMipsyEquivalence:
-    """The batched SoA engine (repro.cpu.batch) advances many runs in
-    lockstep; every lane must be bit-identical to a fresh scalar
-    Profiler run of the same (spec, config, window, seed)."""
-
-    @staticmethod
-    def _scalar(name, config, window, seed):
-        import pickle
-
-        from repro.core.profiles import Profiler
-        from repro.workloads.specjvm98 import benchmark
-
-        profile = Profiler(
-            config=config, cpu_model="mipsy",
-            window_instructions=window, seed=seed,
-        ).profile_benchmark(benchmark(name))
-        return pickle.dumps(profile)
-
-    @staticmethod
-    def _batched(tasks):
-        import pickle
-
-        from repro.cpu.batch import profile_benchmarks_batched
-
-        return [pickle.dumps(p) for p in profile_benchmarks_batched(tasks)]
-
-    @given(
-        seed=st.integers(0, 2**16),
-        window=st.sampled_from([1500, 2000, 3000]),
-        names=st.lists(
-            st.sampled_from(["jess", "db", "compress", "jack"]),
-            min_size=1, max_size=3, unique=True,
-        ),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_bit_identical_across_seeds_and_windows(self, seed, window,
-                                                    names):
-        from repro.config.system import SystemConfig
-        from repro.cpu.batch import BatchTask
-        from repro.workloads.specjvm98 import benchmark
-
-        config = SystemConfig.table1()
-        tasks = [
-            BatchTask(spec=benchmark(name), config=config,
-                      window_instructions=window, seed=seed)
-            for name in names
-        ]
-        for name, blob in zip(names, self._batched(tasks)):
-            assert blob == self._scalar(name, config, window, seed), name
-
-    @given(
-        windows=st.lists(
-            st.sampled_from([1200, 1800, 2600, 4000]),
-            min_size=2, max_size=5,
-        ),
-    )
-    @settings(max_examples=4, deadline=None)
-    def test_ragged_batch_shapes(self, windows):
-        """Lanes with different windows (and seeds) retire at different
-        lockstep steps; masking must keep every lane exact."""
-        from repro.config.system import SystemConfig
-        from repro.cpu.batch import BatchTask
-        from repro.workloads.specjvm98 import benchmark
-
-        config = SystemConfig.table1()
-        names = ["jess", "db", "javac", "mtrt", "jack"]
-        tasks = [
-            BatchTask(spec=benchmark(names[i % len(names)]), config=config,
-                      window_instructions=window, seed=i)
-            for i, window in enumerate(windows)
-        ]
-        for task, blob in zip(tasks, self._batched(tasks)):
-            assert blob == self._scalar(
-                task.spec.name, config, task.window_instructions, task.seed
-            ), (task.spec.name, task.window_instructions, task.seed)
-
-    def test_hardware_tlb_lane_uses_general_path(self):
-        """A hardware-refill TLB lane forces the general step path (the
-        fast path requires every TLB to be software-managed); both
-        paths must stay exact, also when mixed in one batch."""
-        import dataclasses
-
-        from repro.config.system import SystemConfig
-        from repro.cpu.batch import BatchTask
-        from repro.workloads.specjvm98 import benchmark
-
-        base = SystemConfig.table1()
-        hw = dataclasses.replace(
-            base, tlb=dataclasses.replace(base.tlb, software_managed=False)
-        )
-        tasks = [
-            BatchTask(spec=benchmark("jess"), config=hw,
-                      window_instructions=2000, seed=5),
-            BatchTask(spec=benchmark("db"), config=base,
-                      window_instructions=2000, seed=5),
-        ]
-        blobs = self._batched(tasks)
-        assert blobs[0] == self._scalar("jess", hw, 2000, 5)
-        assert blobs[1] == self._scalar("db", base, 2000, 5)
-

@@ -152,6 +152,8 @@ class TestEstimateRequest:
         {"benchmark": "jess", "fidelity": "ledger"},
         {"benchmark": "jess", "cpu_model": "gem5"},
         {"benchmark": "jess", "deadline_s": -1},
+        {"benchmark": "jess", "deadline_s": float("nan")},
+        {"benchmark": "jess", "deadline_s": float("inf")},
         {"benchmark": "jess", "idle_policy": "nap"},
     ])
     def test_rejects_bad_payloads(self, payload):
@@ -303,6 +305,34 @@ class TestDegradation:
         assert bad["status"] == 400
 
 
+class TestSweepValidation:
+    """/sweep checks the fields it shares with /run exactly as /run
+    does: every malformed body is a counted 400, never a raise, a 500
+    or a 504."""
+
+    @pytest.mark.parametrize("fields", [
+        {"deadline_s": "x"},
+        {"deadline_s": -1},
+        {"deadline_s": float("nan")},
+        {"deadline_s": float("inf")},
+        {"disk": "x"},
+        {"disk": 9},
+        {"benchmark": ["x"]},
+        {"benchmark": "nope"},
+        {"cpu_model": "gem5"},
+        {"tier": "bogus"},
+        {"tier": 3},
+        {"values": [float("nan")]},
+        {"values": ["x"]},
+        {"values": [None]},
+    ])
+    def test_malformed_sweep_is_400(self, cache_dir, fields):
+        engine = make_engine(cache_dir)
+        reply = engine.sweep({"parameter": "vdd", "values": [3.0], **fields})
+        assert reply["status"] == 400, reply
+        assert engine.stats()["counters"]["failed"] == 1
+
+
 class TestAdmissionGate:
     def test_bounded_admission(self):
         gate = AdmissionGate(limit=2)
@@ -361,6 +391,18 @@ class TestHTTPServer:
                 null_disk = client.post("/run", {"benchmark": "jess", "disk": None})
                 assert null_disk.status == 400
                 assert "disk" in null_disk.payload["error"]
+                # json.dumps writes NaN as the bare literal the server's
+                # json.loads accepts; validation must still refuse it.
+                nan_deadline = client.post(
+                    "/run", {"benchmark": "jess", "deadline_s": float("nan")}
+                )
+                assert nan_deadline.status == 400
+                for fields in ({"deadline_s": "x"}, {"disk": "x"},
+                               {"benchmark": ["x"]}, {"deadline_s": -1}):
+                    bad_sweep = client.post(
+                        "/sweep", {"parameter": "vdd", "values": [3.0], **fields}
+                    )
+                    assert bad_sweep.status == 400, (fields, bad_sweep.payload)
         finally:
             running.stop()
 

@@ -1,13 +1,11 @@
 """Tests for single-flight serving (`serve/batching.py`), the batch
-endpoint and pipelining client, and the batch engine's breakeven.
+endpoint and the pipelining client.
 
 The acceptance invariants: single-flight collapses identical
 concurrent requests to exactly one simulation whose reply every
 participant receives bit-identically; a solo request runs on its own
 thread; failure is per-item (400 for the one invalid item, 504 for the
-one expired deadline) and never stalls or fails the rest of the batch;
-and the lockstep breakeven constant is calibrated from bench data with
-sane fallbacks.
+one expired deadline) and never stalls or fails the rest of the batch.
 """
 
 import json
@@ -15,8 +13,6 @@ import threading
 
 import pytest
 
-import repro.cpu.batch as cpu_batch
-from repro.core.softwatt import SoftWatt
 from repro.serve import (
     BatchScheduler,
     EstimationEngine,
@@ -286,62 +282,3 @@ class TestPipelinedClient:
         replies = dead.run_pipelined([{"benchmark": "jess"}] * 3)
         assert len(replies) == 3
         assert all(reply.status == 0 for reply in replies)
-
-
-class TestCalibratedBreakeven:
-    def _reset(self):
-        cpu_batch._calibrated_min_runs = None
-
-    def test_env_override_wins(self, monkeypatch):
-        self._reset()
-        monkeypatch.setenv(cpu_batch.MIN_RUNS_ENV, "7")
-        assert cpu_batch.batch_min_runs(refresh=True) == 7
-
-    def test_bench_file_calibration(self, tmp_path, monkeypatch):
-        self._reset()
-        monkeypatch.delenv(cpu_batch.MIN_RUNS_ENV, raising=False)
-        bench = tmp_path / "BENCH_profiling.json"
-        bench.write_text(
-            json.dumps({"batched_suite": {"calibrated_min_runs": 17}})
-        )
-        monkeypatch.setenv(cpu_batch.BENCH_FILE_ENV, str(bench))
-        assert cpu_batch.batch_min_runs(refresh=True) == 17
-        self._reset()
-
-    def test_calibration_clamped(self, tmp_path, monkeypatch):
-        self._reset()
-        monkeypatch.delenv(cpu_batch.MIN_RUNS_ENV, raising=False)
-        bench = tmp_path / "BENCH_profiling.json"
-        bench.write_text(
-            json.dumps({"batched_suite": {"calibrated_min_runs": 100000}})
-        )
-        monkeypatch.setenv(cpu_batch.BENCH_FILE_ENV, str(bench))
-        assert cpu_batch.batch_min_runs(refresh=True) == 512
-        self._reset()
-
-    def test_missing_bench_falls_back_to_constant(self, monkeypatch):
-        self._reset()
-        monkeypatch.delenv(cpu_batch.MIN_RUNS_ENV, raising=False)
-        monkeypatch.setenv(
-            cpu_batch.BENCH_FILE_ENV, "/nonexistent/bench.json"
-        )
-        assert (
-            cpu_batch.batch_min_runs(refresh=True)
-            == cpu_batch.BATCH_MIN_RUNS
-        )
-        self._reset()
-
-    def test_prefetch_profiles_honors_min_runs(self):
-        softwatt = SoftWatt(
-            cpu_model="mipsy",
-            window_instructions=WINDOW,
-            seed=SEED,
-            use_cache=False,
-        )
-        names = ("jess", "db")
-        # Below the threshold: nothing batched.
-        assert SoftWatt.prefetch_profiles([softwatt], names, min_runs=3) == 0
-        # At the threshold: both lanes profiled in lockstep.
-        assert (
-            SoftWatt.prefetch_profiles([softwatt], names, min_runs=2) == 2
-        )
