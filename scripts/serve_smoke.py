@@ -19,7 +19,11 @@ Exercises the full service lifecycle the way an operator sees it:
    — mixed identical and distinct — through ``POST /estimate/batch``,
    SIGTERM while they are in flight, and assert every admitted batch
    still answers with per-item statuses, identical items return
-   identical results, and the drain exits 0.
+   identical results, and the drain exits 0,
+7. (third server, ``repro serve --socket``) probe ``/healthz`` over the
+   Unix domain socket, send a cold and a warm ``POST /run`` whose
+   results must be bit-identical to the TCP server's reply, then
+   SIGTERM and assert the drain exits 0 and removes the socket.
 
 Exit code 0 on success; 1 with a diagnostic on any failure.
 """
@@ -31,6 +35,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -201,7 +206,7 @@ def main() -> int:
     if "draining" not in transcript or "drained:" not in transcript:
         return fail("drain summary missing from server output", server)
     print("serve smoke (faults + drain): PASS")
-    return batch_smoke()
+    return batch_smoke() or socket_smoke(cold.payload["result"])
 
 
 def batch_smoke() -> int:
@@ -311,6 +316,59 @@ def batch_smoke() -> int:
     if "batching:" not in transcript:
         return fail("batching summary missing from drain output", server)
     print("serve smoke (batch endpoint + drain): PASS")
+    return 0
+
+
+def socket_smoke(tcp_result: dict) -> int:
+    """Phase 7: the Unix-domain-socket transport, cold to drained."""
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as directory:
+        return _socket_phase(os.path.join(directory, "serve.sock"), tcp_result)
+
+
+def _socket_phase(path: str, tcp_result: dict) -> int:
+    server = launch(["--socket", path])
+    lines: list[str] = []
+    while True:
+        line = server.stdout.readline()
+        if not line:
+            return fail("socket server exited before listening", server)
+        lines.append(line.rstrip())
+        print(f"  server| {lines[-1]}")
+        if f"listening on unix:{path}" in line:
+            break
+
+    def pump() -> None:
+        for line in server.stdout:
+            lines.append(line.rstrip())
+            print(f"  server| {lines[-1]}")
+
+    pump_thread = threading.Thread(target=pump, daemon=True)
+    pump_thread.start()
+
+    with ServeClient(socket_path=path, timeout_s=120.0) as client:
+        if not client.healthz().ok:
+            return fail("/healthz over the socket not ok", server)
+        replies = [client.run("jess"), client.run("jess")]  # cold, warm
+    for label, reply in zip(("cold", "warm"), replies):
+        if not reply.ok or reply.payload["degraded"]:
+            return fail(f"{label} socket run failed: {reply.status} "
+                        f"{reply.payload}", server)
+        if reply.payload["result"] != tcp_result:
+            return fail(f"{label} socket result differs from the TCP "
+                        f"reply: {reply.payload['result']}", server)
+    print("socket health + cold + warm run: ok (bit-identical to TCP)")
+
+    server.send_signal(signal.SIGTERM)
+    code = server.wait(timeout=120)
+    pump_thread.join(timeout=10)
+    if code != 0:
+        return fail(f"socket server exited {code}, expected 0", server)
+    if "drained:" not in "\n".join(lines):
+        return fail("drain summary missing from socket server output",
+                    server)
+    if os.path.exists(path):
+        return fail("socket file left behind after drain", server)
+    print("serve smoke (unix socket + drain): PASS")
     return 0
 
 

@@ -237,7 +237,7 @@ ConfigTransform = Callable[[SystemConfig, object], SystemConfig]
 def point_from_result(value, result: BenchmarkResult) -> SweepPoint:
     """Condense one :class:`BenchmarkResult` into a :class:`SweepPoint`."""
     modes = result.mode_breakdown()
-    ledger = result.energy_ledger()
+    ledger = result.ledger
     return SweepPoint(
         value=value,
         energy_j=result.total_energy_j,

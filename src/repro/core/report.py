@@ -60,7 +60,11 @@ class CacheRates:
 
 @dataclasses.dataclass
 class BenchmarkResult:
-    """Full results of one benchmark run under one configuration."""
+    """Full results of one benchmark run under one configuration.
+
+    The whole-run ledger is priced once, on first use, and kept: the
+    totals, the power budget and its shares all read that one ledger.
+    """
 
     name: str
     cpu_model: str
@@ -68,6 +72,9 @@ class BenchmarkResult:
     timeline: TimelineResult
     trace: PowerTrace
     model: ProcessorPowerModel
+    _ledger: EnergyLedger | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Table 2: mode breakdown
@@ -183,13 +190,25 @@ class BenchmarkResult:
     # ------------------------------------------------------------------
 
     def energy_ledger(self) -> EnergyLedger:
-        """The full-run ledger: every registry component plus the disk."""
-        return self.timeline.energy_ledger(self.model)
+        """The full-run ledger: every registry component plus the disk.
+
+        Priced on the first call and kept; later calls return the kept
+        ledger."""
+        if self._ledger is None:
+            self._ledger = self.timeline.energy_ledger(self.model)
+        return self._ledger
+
+    @property
+    def ledger(self) -> EnergyLedger:
+        """The kept full-run ledger, priced through
+        :meth:`energy_ledger` if no one has asked for it yet."""
+        ledger = self._ledger
+        return ledger if ledger is not None else self.energy_ledger()
 
     def power_budget(self) -> dict[str, float]:
         """Average system power by category, *including the disk*."""
         seconds = self.timeline.duration_s or 1.0
-        return self.energy_ledger().category_power_w(seconds)
+        return self.ledger.category_power_w(seconds)
 
     def power_budget_shares(self) -> dict[str, float]:
         """The Figure 5/7 pie: percentage share per category."""
@@ -204,7 +223,7 @@ class BenchmarkResult:
     @property
     def total_energy_j(self) -> float:
         """CPU + memory + disk energy of the run."""
-        return self.energy_ledger().total_j
+        return self.ledger.total_j
 
     @property
     def disk_energy_j(self) -> float:

@@ -9,6 +9,10 @@ out-of-order engine:
 * :class:`CAMEnergyModel` — a content-addressed structure whose access
   drives matchlines across every entry (the unified TLB, the issue
   window's wakeup path, the LSQ address-match path).
+
+Geometry and technology are frozen, so each per-access energy is a
+constant of its model: computed once, at construction, and kept as a
+plain attribute that the access methods return.
 """
 
 from __future__ import annotations
@@ -44,9 +48,14 @@ class ArrayEnergyModel:
         self.rows = rows
         self.bits_per_row = bits_per_row
         self.technology = technology
+        self.read_j = self._port_energy_j(write=False)
+        self.write_j = self._port_energy_j(write=True)
 
     def access_energy_j(self, *, write: bool = False) -> float:
         """Energy of one port access (read or write)."""
+        return self.write_j if write else self.read_j
+
+    def _port_energy_j(self, *, write: bool) -> float:
         tech = self.technology
         swing = WRITE_BITLINE_SWING if write else READ_BITLINE_SWING
         decode_c = self.rows * C_DECODER_PER_ROW
@@ -89,9 +98,18 @@ class CAMEnergyModel:
         self.tag_bits = tag_bits
         self.data_bits = data_bits
         self.technology = technology
+        self.search_j = self._search_energy_j()
+        self.write_j = self._write_energy_j()
 
     def search_energy_j(self) -> float:
         """Energy of one associative search: every matchline switches."""
+        return self.search_j
+
+    def write_energy_j(self) -> float:
+        """Energy of installing one entry."""
+        return self.write_j
+
+    def _search_energy_j(self) -> float:
         tech = self.technology
         matchline_c = self.entries * self.tag_bits * C_CAM_MATCHLINE_PER_BIT
         # Broadcasting the search key down the tag columns.
@@ -106,8 +124,7 @@ class CAMEnergyModel:
             )
         return energy
 
-    def write_energy_j(self) -> float:
-        """Energy of installing one entry."""
+    def _write_energy_j(self) -> float:
         tech = self.technology
         bits = self.tag_bits + self.data_bits
         write_c = bits * (C_BITLINE_PER_CELL * self.entries + C_PRECHARGE_PER_BITLINE)

@@ -13,7 +13,9 @@ model decomposes one cache access into the classic components:
 * output drivers for the bits actually delivered.
 
 Energies are computed from the cache geometry and the 0.35 um
-capacitance constants in :mod:`repro.config.technology`.
+capacitance constants in :mod:`repro.config.technology`, once per
+model: the read and write energies are plain attributes set at
+construction.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class CacheEnergyModel:
         if serial_tag_data is None:
             serial_tag_data = config.size_bytes > 256 * 1024
         self.serial_tag_data = serial_tag_data
+        # Geometry and technology are frozen: the read and write
+        # energies are constants of this model, computed once here.
+        self.read_j = self.breakdown(write=False).total_j
+        self.write_j = self.breakdown(write=True).total_j
 
     @property
     def rows(self) -> int:
@@ -150,17 +156,14 @@ class CacheEnergyModel:
 
     def read_energy_j(self) -> float:
         """Energy of one read access."""
-        return self.breakdown(write=False).total_j
+        return self.read_j
 
     def write_energy_j(self) -> float:
         """Energy of one write access."""
-        return self.breakdown(write=True).total_j
+        return self.write_j
 
     def access_energy_j(self, write_fraction: float = 0.3) -> float:
         """Blended per-access energy for a given write mix."""
         if not 0.0 <= write_fraction <= 1.0:
             raise ValueError(f"write fraction must be in [0, 1]: {write_fraction}")
-        return (
-            (1.0 - write_fraction) * self.read_energy_j()
-            + write_fraction * self.write_energy_j()
-        )
+        return (1.0 - write_fraction) * self.read_j + write_fraction * self.write_j

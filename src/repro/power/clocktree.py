@@ -55,6 +55,18 @@ class ClockNetworkModel:
         self.die_size_mm = die_size_mm
         self.technology = technology
         self.load_derating = load_derating
+        # Every input is frozen, so the tree's two capacitances are
+        # constants of this model; only the gating factor varies.
+        self.spine_capacitance_f = (
+            self.wire_capacitance_f + self.buffer_capacitance_f
+        )
+        """Wire plus buffers: the part that switches every cycle."""
+        self.load_capacitance_f = clocked_bits * C_LATCH_PER_BIT * load_derating
+        """Capacitance of the clocked latches/ports the tree feeds.
+
+        ``load_derating`` models banked clock distribution: only that
+        fraction of a structure's storage bits sees the clock edge in a
+        cycle (row-banked register arrays)."""
 
     @property
     def wire_capacitance_f(self) -> float:
@@ -70,15 +82,6 @@ class ClockNetworkModel:
     def buffer_capacitance_f(self) -> float:
         """Clock-buffer capacitance over all tree levels."""
         return HTREE_LEVELS * BUFFER_CAP_PER_LEVEL_F
-
-    @property
-    def load_capacitance_f(self) -> float:
-        """Capacitance of the clocked latches/ports the tree feeds.
-
-        ``load_derating`` models banked clock distribution: only that
-        fraction of a structure's storage bits sees the clock edge in a
-        cycle (row-banked register arrays)."""
-        return self.clocked_bits * C_LATCH_PER_BIT * self.load_derating
 
     @property
     def total_capacitance_f(self) -> float:
@@ -99,10 +102,10 @@ class ClockNetworkModel:
         """
         if not 0.0 <= gating_factor <= 1.0:
             raise ValueError(f"gating factor must be in [0, 1]: {gating_factor}")
-        tech = self.technology
-        spine = self.wire_capacitance_f + self.buffer_capacitance_f
         load = self.load_capacitance_f * gating_factor
-        return 2.0 * tech.switching_energy(spine + load)
+        return 2.0 * self.technology.switching_energy(
+            self.spine_capacitance_f + load
+        )
 
     def max_power_w(self) -> float:
         """Ungated clock power at the design-point frequency."""

@@ -32,25 +32,32 @@ class FunctionalUnitEnergyModel:
 
     def __init__(self, technology: Technology = DEFAULT_TECHNOLOGY) -> None:
         self.technology = technology
+        # Every evaluation reads all five, and the technology is frozen:
+        # the per-operation energies are constants, computed once here.
+        self.ialu_j = technology.switching_energy(C_FU_INT)
+        self.imul_j = technology.switching_energy(C_FU_INT * IMUL_CAP_FACTOR)
+        self.falu_j = technology.switching_energy(C_FU_FP)
+        self.fmul_j = technology.switching_energy(C_FU_FP * FMUL_CAP_FACTOR)
+        run_mm = DIE_SIZE_MM * RESULT_BUS_RUN_FRACTION
+        cap = RESULT_BUS_BITS * C_RESULT_BUS_PER_BIT_MM * run_mm
+        self.result_bus_j = technology.switching_energy(cap)
 
     def ialu_energy_j(self) -> float:
         """One integer ALU operation."""
-        return self.technology.switching_energy(C_FU_INT)
+        return self.ialu_j
 
     def imul_energy_j(self) -> float:
         """One integer multiply/divide."""
-        return self.technology.switching_energy(C_FU_INT * IMUL_CAP_FACTOR)
+        return self.imul_j
 
     def falu_energy_j(self) -> float:
         """One FP add/sub/compare."""
-        return self.technology.switching_energy(C_FU_FP)
+        return self.falu_j
 
     def fmul_energy_j(self) -> float:
         """One FP multiply/divide/sqrt."""
-        return self.technology.switching_energy(C_FU_FP * FMUL_CAP_FACTOR)
+        return self.fmul_j
 
     def result_bus_energy_j(self) -> float:
         """One result broadcast over the bypass/result bus."""
-        run_mm = DIE_SIZE_MM * RESULT_BUS_RUN_FRACTION
-        cap = RESULT_BUS_BITS * C_RESULT_BUS_PER_BIT_MM * run_mm
-        return self.technology.switching_energy(cap)
+        return self.result_bus_j

@@ -178,6 +178,7 @@ class EnergyLedger:
             return NotImplemented
         return (
             self._component_j == other._component_j
+            and self._category_j == other._category_j
             and self._component_category == other._component_category
         )
 

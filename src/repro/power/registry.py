@@ -55,9 +55,9 @@ EnergyRule = Callable[
 class _DeclaredCounters:
     """A counter view restricted to one component's declaration.
 
-    Rules receive this instead of the raw
-    :class:`~repro.stats.counters.AccessCounters`, so reading a counter
-    the component did not declare raises a clear
+    On a registry's first evaluation rules receive this instead of the
+    raw :class:`~repro.stats.counters.AccessCounters`, so reading a
+    counter the component did not declare raises a clear
     :class:`~repro.stats.counters.UnknownCounterError` instead of
     silently succeeding (or, worse, reading 0 through a permissive
     consumer).
@@ -139,6 +139,9 @@ class PowerRegistry:
                 counter_categories.append(component.category)
         self._categories = tuple(categories)
         self._counter_categories = tuple(counter_categories)
+        self._checked = False
+        """Set once an evaluation through the declared-counter views
+        succeeds; later evaluations hand rules the raw counters."""
 
     # ------------------------------------------------------------------
     # Introspection
@@ -229,9 +232,17 @@ class PowerRegistry:
 
         Category values accumulate term by term in declaration order —
         bit-identical to the historical inline arithmetic.
+
+        The registry's first evaluation that succeeds runs every rule
+        through a :class:`_DeclaredCounters` view, so a rule reading a
+        counter its component does not declare raises
+        :class:`~repro.stats.counters.UnknownCounterError`.  Rules read
+        the same counters on every call, so later evaluations pass the
+        raw counters.
         """
         if cycles <= 0:
             raise ValueError(f"cycles must be positive, got {cycles}")
+        checked = self._checked
         component_j: dict[str, float] = {}
         category_j: dict[str, float] = {
             name: 0.0 for name in self._counter_categories
@@ -241,10 +252,13 @@ class PowerRegistry:
             rule = component.rule
             if rule is None:
                 continue
-            view = _DeclaredCounters(
-                counters, component._declared, component.name
-            )
-            terms = rule(model, view, cycles)
+            if checked:
+                terms = rule(model, counters, cycles)
+            else:
+                view = _DeclaredCounters(
+                    counters, component._declared, component.name
+                )
+                terms = rule(model, view, cycles)
             category = component.category
             subtotal = 0.0
             rollup = category_j[category]
@@ -254,6 +268,7 @@ class PowerRegistry:
             category_j[category] = rollup
             component_j[component.name] = subtotal
             component_category[component.name] = category
+        self._checked = True
         return EnergyLedger._raw(component_j, category_j, component_category)
 
     def evaluate_source(

@@ -136,8 +136,15 @@ class EstimationHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # a 0.9 reply is the bare body
+            return
+        # end_headers() would write the headers on their own and the
+        # body after them; the body joins the header buffer instead, so
+        # the whole reply leaves in one write (no body segment held back
+        # by Nagle until the peer's delayed ACK).
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _body_length(self) -> int | None:
         """The declared body length, or None when the Content-Length
@@ -288,6 +295,14 @@ class EstimationHTTPServer(ThreadingHTTPServer):
         self._ordinal_lock = threading.Lock()
         self._connections: dict[int, socket.socket] = {}
         self._connections_lock = threading.Lock()
+
+    def get_request(self):
+        connection, address = super().get_request()
+        if self.address_family != socket.AF_UNIX:
+            # Replies are one write each, so nothing is gained by
+            # Nagle's coalescing; only TCP sockets accept the option.
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection, address
 
     def next_ordinal(self) -> int:
         with self._ordinal_lock:

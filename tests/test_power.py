@@ -1,5 +1,9 @@
 """Tests for the analytical power models."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,3 +284,47 @@ class TestProcessorPowerModel:
         total = self.model.total_energy_j(counters, 500)
         parts = self.model.energy_by_category(counters, 500)
         assert total == pytest.approx(sum(parts.values()))
+
+
+class TestPerModelConstants:
+    """Per-access energies are constants of one model, never shared."""
+
+    @staticmethod
+    def _config(vdd):
+        config = SystemConfig.table1()
+        return dataclasses.replace(
+            config, technology=dataclasses.replace(config.technology, vdd=vdd)
+        )
+
+    def test_interleaved_supplies_price_like_fresh_models(self):
+        counters = ProcessorPowerModel(SystemConfig.table1()).max_power_counters(800)
+        models = {vdd: ProcessorPowerModel(self._config(vdd)) for vdd in (3.3, 2.0)}
+        ledgers = []
+        for vdd in (3.3, 2.0, 3.3):
+            ledger = models[vdd].ledger(counters, 800)
+            fresh = ProcessorPowerModel(self._config(vdd)).ledger(counters, 800)
+            assert ledger == fresh, vdd
+            ledgers.append(ledger)
+        assert ledgers[0] == ledgers[2]
+        assert ledgers[0] != ledgers[1]
+
+    def test_priced_model_is_collected(self):
+        model = ProcessorPowerModel(self._config(2.5))
+        model.ledger(model.max_power_counters(100), 100)
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_energy_methods_return_the_kept_constants(self):
+        model = ProcessorPowerModel(SystemConfig.table1())
+        assert model.l1d.read_energy_j() == model.l1d.breakdown().total_j
+        assert model.l1d.write_energy_j() == model.l1d.breakdown(write=True).total_j
+        assert model.l2.access_energy_j(write_fraction=0.0) == model.l2.read_j
+        assert model.regfile.access_energy_j(write=True) == model.regfile.write_j
+        assert model.tlb.search_energy_j() == model.tlb.search_j
+        assert model.fus.result_bus_energy_j() == model.fus.result_bus_j
+        clock = model.clock
+        assert clock.spine_capacitance_f == (
+            clock.wire_capacitance_f + clock.buffer_capacitance_f
+        )

@@ -1,5 +1,8 @@
 """Tests for the PowerComponent registry and the EnergyLedger."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.config.system import SystemConfig
@@ -7,6 +10,7 @@ from repro.power.ledger import EnergyLedger
 from repro.power.processor import ProcessorPowerModel
 from repro.power.registry import (
     CATEGORIES,
+    POWER_COMPONENTS,
     REGISTRY,
     PowerComponent,
     PowerRegistry,
@@ -95,6 +99,62 @@ class TestRegistryEvaluation:
         with pytest.raises(UnknownCounterError, match="does not declare"):
             registry.evaluate(None, AccessCounters(l1d_access=5), 100)
 
+    def test_undeclared_read_raises_until_an_evaluation_succeeds(self, model):
+        sneaky = PowerComponent(
+            "sneaky", "datapath", ("l1i_access",),
+            lambda m, c, cy: (c.l1d_access * m.l1d.read_energy_j(),),
+        )
+        registry = PowerRegistry((sneaky,))
+        counters = AccessCounters(l1i_access=5, l1d_access=5)
+        for _ in range(2):
+            # A failed evaluation does not mark the registry checked.
+            with pytest.raises(UnknownCounterError, match="does not declare"):
+                registry.evaluate(model, counters, 100)
+
+    def test_only_the_first_evaluation_runs_through_the_view(self, model):
+        seen = []
+        honest = PowerComponent(
+            "honest", "datapath", ("l1i_access",),
+            lambda m, c, cy: (seen.append(type(c)) or c.l1i_access * 2.0,),
+        )
+        registry = PowerRegistry((honest,))
+        counters = AccessCounters(l1i_access=3)
+        first = registry.evaluate(model, counters, 100)
+        second = registry.evaluate(model, counters, 100)
+        assert first == second
+        assert seen[0] is not AccessCounters
+        assert seen[1] is AccessCounters
+
+    def test_concurrent_first_evaluations_agree(self, model):
+        """Threads racing through a fresh registry's first evaluations
+        (views and raw counters interleaved) price identically."""
+        registry = PowerRegistry(POWER_COMPONENTS)
+        counters = _busy_counters(model)
+        expected = REGISTRY.evaluate(model, counters, 2_000)
+        results, errors = [], []
+
+        def price():
+            try:
+                for _ in range(40):
+                    results.append(registry.evaluate(model, counters, 2_000))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=price) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == 8 * 40
+        assert all(ledger == expected for ledger in results)
+
     def test_declared_counters_are_readable_through_the_view(self):
         honest = PowerComponent(
             "honest", "datapath", ("l1i_access",),
@@ -166,6 +226,17 @@ class TestEnergyLedger:
         third = EnergyLedger({"a": 2.0}, {"a": "x"})
         assert first == second
         assert first != third
+
+    def test_equality_compares_category_rollups(self):
+        components = {"a": 0.1, "b": 0.2, "c": 0.3}
+        categories = {"a": "x", "b": "x", "c": "x"}
+        forward = EnergyLedger._raw(dict(components), {"x": (0.1 + 0.2) + 0.3},
+                                    dict(categories))
+        reverse = EnergyLedger._raw(dict(components), {"x": 0.1 + (0.2 + 0.3)},
+                                    dict(categories))
+        # Same components, rolled up in a different order: not equal.
+        assert forward.categories != reverse.categories
+        assert forward != reverse
 
 
 class TestAccessCounterValidation:
