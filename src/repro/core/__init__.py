@@ -13,8 +13,10 @@ from repro.core.profiles import (
     BenchmarkProfile,
     IdleProfile,
     PhaseProfile,
+    PricedServiceProfile,
     Profiler,
     ServiceInvocationProfile,
+    ServiceTranslationError,
 )
 from repro.core.report import (
     MODE_ORDER,
@@ -34,8 +36,10 @@ __all__ = [
     "BenchmarkProfile",
     "IdleProfile",
     "PhaseProfile",
+    "PricedServiceProfile",
     "Profiler",
     "ServiceInvocationProfile",
+    "ServiceTranslationError",
     "MODE_ORDER",
     "BenchmarkResult",
     "CacheRates",

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from repro.config.diskcfg import DiskPowerPolicy, disk_configuration
 from repro.config.system import CacheConfig, FidelityTier, SystemConfig
 from repro.core.report import BenchmarkResult
-from repro.core.softwatt import SoftWatt, speed_factor
+from repro.core.softwatt import SoftWatt, share_timeline_services, speed_factor
 from repro.core.timeline import TimelineSimulator, disk_power_series
 from repro.kernel.modes import ExecutionMode
 from repro.power.processor import ProcessorPowerModel
@@ -582,9 +582,9 @@ class SweepCampaign:
         )
         return point_from_result(planned.value, result)
 
-    def _structural_point(self, planned: PlannedPoint) -> SweepPoint:
-        """Full detailed simulation at this point (fresh SoftWatt)."""
-        softwatt = SoftWatt(
+    def _point_softwatt(self, planned: PlannedPoint) -> SoftWatt:
+        """A fresh SoftWatt at a structural point's configuration."""
+        return SoftWatt(
             config=planned.config,
             cpu_model=self.cpu_model,
             window_instructions=self.window_instructions,
@@ -593,10 +593,23 @@ class SweepCampaign:
             cache_dir=self.cache_dir,
             use_cache=self.use_cache,
         )
+
+    def _structural_point(
+        self, planned: PlannedPoint, softwatt: SoftWatt
+    ) -> SweepPoint:
+        """Full detailed simulation at this point on its own SoftWatt."""
         result = softwatt.run(
             self.benchmark, disk=planned.policy, idle_policy=self.idle_policy
         )
         return point_from_result(planned.value, result)
+
+    def _supervision_kwargs(self) -> dict:
+        return {
+            "task_timeout": self.task_timeout,
+            "retries": self.retries,
+            "best_effort": self.best_effort,
+            "fault_plan": self.fault_plan,
+        }
 
     # ------------------------------------------------------------------
     # Execution
@@ -620,16 +633,33 @@ class SweepCampaign:
     ) -> list[SweepPoint]:
         """Evaluate a plan, fanning structural points out when asked.
 
-        Results keep plan order.  Under ``best_effort`` a structural
-        point whose simulation failed is dropped (and recorded in
-        ``report``) instead of aborting the sweep.
+        Results keep plan order.  Structural points on the same
+        simulated machine share one kernel-service characterisation.
+        Under ``best_effort`` a structural point whose simulation failed
+        is dropped (and recorded in ``report``) instead of aborting the
+        sweep.
         """
+        report = report if report is not None else RunReport()
         results: dict[int, SweepPoint | None] = {}
         structural = [
             (index, planned)
             for index, planned in enumerate(plan)
             if planned.tier is Tier.STRUCTURAL
         ]
+        softwatts = {
+            index: self._point_softwatt(planned) for index, planned in structural
+        }
+        if softwatts:
+            machines = share_timeline_services(
+                list(softwatts.values()),
+                workers=self.workers,
+                report=report,
+                **self._supervision_kwargs(),
+            )
+            report.add_note(
+                f"{machines} service characterisations for "
+                f"{len(softwatts)} structural points"
+            )
         if self.workers > 1 and len(structural) > 1:
             from repro.parallel import SweepPointTask, sweep_points  # noqa: PLC0415
 
@@ -646,18 +676,16 @@ class SweepCampaign:
                     idle_policy=self.idle_policy,
                     cache_dir=self.cache_dir,
                     use_cache=self.use_cache,
+                    service_profiles=softwatts[index]._service_profiles,
                 )
-                for _, planned in structural
+                for index, planned in structural
             ]
             points = sweep_points(
                 tasks,
                 workers=self.workers,
                 labels=[planned.label for _, planned in structural],
-                task_timeout=self.task_timeout,
-                retries=self.retries,
-                best_effort=self.best_effort,
-                fault_plan=self.fault_plan,
                 report=report,
+                **self._supervision_kwargs(),
             )
             for (index, _), point in zip(structural, points):
                 results[index] = point
@@ -665,7 +693,7 @@ class SweepCampaign:
             if index in results:
                 continue
             if planned.tier is Tier.STRUCTURAL:
-                results[index] = self._structural_point(planned)
+                results[index] = self._structural_point(planned, softwatts[index])
             elif planned.tier is Tier.TIMELINE:
                 results[index] = self._timeline_point(planned)
             else:

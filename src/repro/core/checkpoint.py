@@ -15,11 +15,13 @@ dicts, per-label stats keyed by label (``"__user__"`` stands for the
 
 On top of the explicit checkpoint files, :class:`ProfileCache` provides
 a *content-addressed* on-disk cache: each profile is stored under a key
-that hashes everything the result depends on (benchmark spec, system
-configuration, CPU model, window parameters, seed, and a model-version
-stamp), so :class:`~repro.core.softwatt.SoftWatt` can consult it
-transparently — a stale or mismatched entry simply misses and the
-profile is re-simulated.
+that hashes everything the result depends on (benchmark spec, the parts
+of the system configuration the simulation reads, CPU model, window
+parameters, seed, and a model-version stamp), so
+:class:`~repro.core.softwatt.SoftWatt` can consult it transparently — a
+stale or mismatched entry simply misses and the profile is
+re-simulated.  Service entries are price-free measurements, so one
+entry serves every technology point.
 """
 
 from __future__ import annotations
@@ -43,14 +45,27 @@ from repro.stats.counters import AccessCounters
 from repro.stats.simlog import log_degradation
 from repro.workloads.specjvm98 import BenchmarkSpec, benchmark
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _USER_KEY = "__user__"
 
-MODEL_VERSION = 1
-"""Stamp of the simulator semantics.  Bump whenever a change alters
-simulation *results* (CPU timing, cache behaviour, workload generation,
-power weights): every existing cache entry then misses and is evicted,
-forcing a clean re-profile instead of serving stale numbers."""
+MODEL_VERSION = 2
+"""Stamp of the simulator semantics and of the cache-entry format.
+Bump whenever a change alters simulation *results* (CPU timing, cache
+behaviour, workload generation) or what an entry stores: every existing
+cache entry then misses and is evicted, forcing a clean re-profile
+instead of serving stale numbers or mis-decoding an old layout.
+(Version 2: service entries store per-invocation counters, not
+energies.)"""
+
+PRICING_ONLY_PARTS = ("technology",)
+"""Config parts no detailed simulation reads: the power models and the
+timeline's wall clock consume them, so they stay out of every key."""
+
+SERVICE_BLIND_PARTS = (*PRICING_ONLY_PARTS, "tlb", "fidelity")
+"""Config parts a kernel-service characterisation never reads.  Handler
+bodies run in KSEG, so they never translate an address (enforced by
+:class:`~repro.core.profiles.ServiceTranslationError`), and services
+always run on the detailed core whatever the fidelity rung."""
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 """Environment variable naming the persistent profile-cache directory.
@@ -142,22 +157,23 @@ def _encode_service(profile: ServiceInvocationProfile) -> dict:
     return {
         "service": profile.service,
         "cycles": profile.cycles,
-        "energies_j": profile.energies_j,
-        "category_energy_j": profile.category_energy_j,
-        "mean_counters": _encode_counters(profile.mean_counters),
-        "instructions_per_invocation": profile.instructions_per_invocation,
+        "counters": [_encode_counters(counters) for counters in profile.counters],
+        "instructions": profile.instructions,
     }
 
 
 def _decode_service(data: dict) -> ServiceInvocationProfile:
-    return ServiceInvocationProfile(
+    profile = ServiceInvocationProfile(
         service=data["service"],
         cycles=data["cycles"],
-        energies_j=data["energies_j"],
-        category_energy_j=data["category_energy_j"],
-        mean_counters=_decode_counters(data["mean_counters"]),
-        instructions_per_invocation=data["instructions_per_invocation"],
+        counters=[_decode_counters(counters) for counters in data["counters"]],
+        instructions=data["instructions"],
     )
+    if not len(profile.cycles) == len(profile.counters) == len(profile.instructions):
+        raise CheckpointError(
+            f"service {profile.service!r}: per-invocation lists differ in length"
+        )
+    return profile
 
 
 def encode_profile(profile: BenchmarkProfile) -> dict:
@@ -208,6 +224,19 @@ def _stable_hash(payload: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _simulated_config(config: SystemConfig, *, without: tuple[str, ...]) -> dict:
+    """``config`` as a plain dict, minus the top-level parts ``without``.
+
+    The projection every cache key hashes: a part is dropped only when
+    the keyed simulation provably never reads it, so a config that
+    differs only there shares the entry.
+    """
+    document = dataclasses.asdict(config)
+    for part in without:
+        del document[part]
+    return document
+
+
 def profile_cache_key(
     spec: BenchmarkSpec,
     config: SystemConfig,
@@ -222,7 +251,9 @@ def profile_cache_key(
 
     Hashes every input the detailed simulation depends on, plus the
     :data:`MODEL_VERSION` stamp — any difference in spec content (not
-    just name), system configuration, profiling window, or simulator
+    just name), simulated configuration (everything but
+    :data:`PRICING_ONLY_PARTS`; the fidelity rung stays in because
+    benchmark windows run on it), profiling window, or simulator
     semantics produces a different key.
     """
     return _stable_hash(
@@ -230,7 +261,7 @@ def profile_cache_key(
             "kind": "benchmark",
             "model_version": MODEL_VERSION,
             "spec": dataclasses.asdict(spec),
-            "config": dataclasses.asdict(config),
+            "config": _simulated_config(config, without=PRICING_ONLY_PARTS),
             "cpu_model": cpu_model,
             "window_instructions": window_instructions,
             "startup_chunks": startup_chunks,
@@ -249,13 +280,18 @@ def service_cache_key(
     warmup: int,
     seed: int,
 ) -> str:
-    """Cache key for a per-invocation kernel-service profile."""
+    """Cache key for a per-invocation kernel-service profile.
+
+    Hashes only what the characterisation simulates: the config without
+    :data:`SERVICE_BLIND_PARTS`, so machines that differ in technology,
+    TLB or fidelity rung share one entry.
+    """
     return _stable_hash(
         {
             "kind": "service",
             "model_version": MODEL_VERSION,
             "service": service,
-            "config": dataclasses.asdict(config),
+            "config": _simulated_config(config, without=SERVICE_BLIND_PARTS),
             "cpu_model": cpu_model,
             "invocations": invocations,
             "warmup": warmup,

@@ -14,12 +14,14 @@ stitches back into the sampled log.
 
 Per-invocation kernel-service profiles (Table 5 / Figure 8) are
 measured separately by running isolated invocations against a
-persistent machine state.
+persistent machine state.  They are price-free: energies are computed
+when a profile is read under a power model.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import statistics
 
 from repro.config.system import FidelityTier, SystemConfig
@@ -107,18 +109,33 @@ class IdleProfile:
         return self.stats.total_counters()
 
 
+class ServiceTranslationError(RuntimeError):
+    """A kernel-service handler translated an address through the TLB.
+
+    Service profiles are keyed without the TLB configuration because
+    every handler body runs in KSEG, which bypasses translation.  A
+    handler that touches mapped memory would make such a profile depend
+    on the TLB, so characterisation refuses it instead of caching a
+    TLB-blind result.
+    """
+
+
 @dataclasses.dataclass
 class ServiceInvocationProfile:
-    """Per-invocation statistics for one kernel service (Table 5)."""
+    """Per-invocation measurements of one kernel service (Table 5).
+
+    Price-free: it records what the simulation produced and nothing the
+    power model decides, so one characterisation serves every
+    technology point.  :meth:`priced` binds a power model for the
+    Table 5 / Figure 8 energies.
+    """
 
     service: str
     cycles: list[float]
-    energies_j: list[float]
-    category_energy_j: dict[str, float]
-    """Mean energy per invocation, split by power category (Figure 8)."""
-    mean_counters: AccessCounters = dataclasses.field(default_factory=AccessCounters)
-    """Mean per-invocation unit-access counts (for timeline scheduling)."""
-    instructions_per_invocation: float = 0.0
+    counters: list[AccessCounters]
+    """Unit-access counts of each measured invocation."""
+    instructions: list[int]
+    """Instructions retired by each measured invocation."""
 
     @property
     def invocations(self) -> int:
@@ -126,14 +143,64 @@ class ServiceInvocationProfile:
         return len(self.cycles)
 
     @property
-    def mean_energy_j(self) -> float:
-        """Mean energy per invocation."""
-        return statistics.fmean(self.energies_j)
-
-    @property
     def mean_cycles(self) -> float:
         """Mean cycles per invocation."""
         return statistics.fmean(self.cycles)
+
+    @functools.cached_property
+    def mean_counters(self) -> AccessCounters:
+        """Mean per-invocation unit-access counts (for timeline scheduling)."""
+        totals = AccessCounters()
+        for counters in self.counters:
+            totals.add(counters)
+        mean = AccessCounters()
+        for name, value in totals.items():
+            setattr(mean, name, value // self.invocations)
+        return mean
+
+    @property
+    def instructions_per_invocation(self) -> float:
+        """Mean instructions per invocation."""
+        return sum(self.instructions) / self.invocations
+
+    def priced(self, model: ProcessorPowerModel) -> "PricedServiceProfile":
+        """This profile with energies read under ``model``."""
+        return PricedServiceProfile(
+            self.service, self.cycles, self.counters, self.instructions, model
+        )
+
+
+@dataclasses.dataclass
+class PricedServiceProfile(ServiceInvocationProfile):
+    """A service profile whose energies are priced on first read."""
+
+    model: ProcessorPowerModel = dataclasses.field(compare=False, repr=False)
+
+    @functools.cached_property
+    def _ledgers(self) -> list:
+        return [
+            self.model.ledger(counters, max(1, cycles))
+            for counters, cycles in zip(self.counters, self.cycles)
+        ]
+
+    @functools.cached_property
+    def energies_j(self) -> list[float]:
+        """Energy of each measured invocation."""
+        return [ledger.total_j for ledger in self._ledgers]
+
+    @functools.cached_property
+    def category_energy_j(self) -> dict[str, float]:
+        """Mean energy per invocation, split by power category (Figure 8)."""
+        totals: dict[str, float] = {}
+        for ledger in self._ledgers:
+            for name, value in ledger.categories.items():
+                totals[name] = totals.get(name, 0.0) + value
+        return {name: value / self.invocations for name, value in totals.items()}
+
+    @property
+    def mean_energy_j(self) -> float:
+        """Mean energy per invocation."""
+        return statistics.fmean(self.energies_j)
 
     @property
     def coefficient_of_deviation(self) -> float:
@@ -312,13 +379,17 @@ class Profiler:
     def profile_service(
         self,
         service: str,
-        model: ProcessorPowerModel,
         *,
         invocations: int = 60,
         warmup: int = 6,
         seed: int | None = None,
     ) -> ServiceInvocationProfile:
-        """Measure per-invocation cycles and energy for one service."""
+        """Measure per-invocation cycles and counters for one service.
+
+        Runs on the detailed core whatever the fidelity rung, and prices
+        nothing.  Raises :class:`ServiceTranslationError` if any
+        invocation translates an address (see its docstring).
+        """
         if invocations < 2:
             raise ValueError("need at least two invocations for a deviation")
         self.detailed_runs += 1
@@ -327,35 +398,26 @@ class Profiler:
         kernel = Kernel(config, hierarchy, seed=self.seed if seed is None else seed)
         cpu = make_cpu(self.cpu_model, config, hierarchy, kernel)
         cycles: list[float] = []
-        energies: list[float] = []
-        category_totals: dict[str, float] = {}
-        counter_totals = AccessCounters()
-        instruction_total = 0
+        counters: list[AccessCounters] = []
+        instructions: list[int] = []
         for index in range(warmup + invocations):
             body = kernel.invoke_service(service)
             stats = cpu.run(body)
+            run_counters = stats.total_counters()
+            if run_counters.tlb_access:
+                raise ServiceTranslationError(
+                    f"service {service!r} translated {run_counters.tlb_access} "
+                    f"address(es) in invocation {index}; handlers must run "
+                    f"in KSEG"
+                )
             if index < warmup:
                 continue
-            run_cycles = max(1, stats.cycles)
-            counters = stats.total_counters()
-            ledger = model.ledger(counters, run_cycles)
-            cycles.append(float(run_cycles))
-            energies.append(ledger.total_j)
-            counter_totals.add(counters)
-            instruction_total += stats.instructions
-            for name, value in ledger.categories.items():
-                category_totals[name] = category_totals.get(name, 0.0) + value
-        mean_categories = {
-            name: value / invocations for name, value in category_totals.items()
-        }
-        mean_counters = AccessCounters()
-        for name, value in counter_totals.items():
-            setattr(mean_counters, name, value // invocations)
+            cycles.append(float(max(1, stats.cycles)))
+            counters.append(run_counters)
+            instructions.append(stats.instructions)
         return ServiceInvocationProfile(
             service=service,
             cycles=cycles,
-            energies_j=energies,
-            category_energy_j=mean_categories,
-            mean_counters=mean_counters,
-            instructions_per_invocation=instruction_total / invocations,
+            counters=counters,
+            instructions=instructions,
         )

@@ -25,6 +25,8 @@ optional accelerators sit on top:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.config.diskcfg import DiskPowerPolicy, disk_configuration
 from repro.config.system import FidelityConfig, SystemConfig
 from repro.core.checkpoint import (
@@ -37,6 +39,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.profiles import (
     BenchmarkProfile,
+    PricedServiceProfile,
     Profiler,
     ServiceInvocationProfile,
 )
@@ -59,6 +62,14 @@ SINGLE_ISSUE_SPEED_FACTOR = 2.2
 work takes proportionally longer on the 1-wide machine, which is how
 the kernel's cycle share comes out *lower* there (Section 3.2's 14.3 %
 single-issue vs 21.0 % superscalar comparison)."""
+
+
+TIMELINE_SERVICE_INVOCATIONS = 30
+"""Measured invocations per kernel service in the profiles a timeline
+run schedules (their mean counters and cycles)."""
+
+SERVICE_WARMUP = 6
+"""Invocations run, and discarded, before a service is measured."""
 
 
 def speed_factor(cpu_model: str, config: SystemConfig) -> float:
@@ -350,7 +361,7 @@ class SoftWatt:
             self.config,
             cpu_model=self.cpu_model,
             invocations=invocations,
-            warmup=6,
+            warmup=SERVICE_WARMUP,
             seed=self.seed,
         )
 
@@ -360,71 +371,28 @@ class SoftWatt:
         *,
         invocations: int = 60,
         workers: int | None = None,
-    ) -> dict[str, ServiceInvocationProfile]:
+    ) -> dict[str, PricedServiceProfile]:
         """Per-invocation energy statistics for the kernel services.
 
         Consults the persistent cache per service, and fans the cache
         misses out over ``workers`` processes; each service is measured
         on fresh machine state, so the fan-out is bit-identical to the
-        serial loop.
+        serial loop.  The measurements are price-free; the returned
+        profiles price them under this instance's model when read.
         """
-        workers = self.workers if workers is None else workers
         report = RunReport()
-        profiles: dict[str, ServiceInvocationProfile] = {}
-        pending: list[str] = []
-        for service in services:
-            cached = None
-            if self.cache is not None:
-                cached = self.cache.load_service(
-                    self._service_key(service, invocations)
-                )
-            if cached is not None:
-                profiles[service] = cached
-            else:
-                pending.append(service)
-        if workers <= 1:
-            for service in pending:
-                profiles[service] = self.profiler.profile_service(
-                    service, self.model, invocations=invocations
-                )
-        else:
-            # Deliberately lazy: workers <= 1 never touches the pool
-            # machinery.
-            from repro.parallel import (  # noqa: PLC0415
-                ProfileServiceTask,
-                profile_services,
-            )
-
-            tasks = [
-                ProfileServiceTask(
-                    service=service,
-                    config=self.config,
-                    cpu_model=self.cpu_model,
-                    invocations=invocations,
-                    warmup=6,
-                    seed=self.seed,
-                )
-                for service in pending
-            ]
-            results = profile_services(
-                tasks, workers=workers, report=report,
-                **self._supervision_kwargs(),
-            )
-            for service, profile in zip(pending, results):
-                if profile is not None:
-                    profiles[service] = profile
-        if self.cache is not None:
-            for service in pending:
-                if service in profiles:
-                    self.cache.store_service(
-                        self._service_key(service, invocations),
-                        profiles[service],
-                    )
+        (measured,) = measure_services(
+            [self],
+            services,
+            invocations=invocations,
+            workers=self.workers if workers is None else workers,
+            report=report,
+            **self._supervision_kwargs(),
+        )
         return self._attach_report(
             {
-                service: profiles[service]
-                for service in services
-                if service in profiles
+                service: profile.priced(self.model)
+                for service, profile in measured.items()
             },
             report,
         )
@@ -432,7 +400,12 @@ class SoftWatt:
     def _cached_service_profiles(self) -> dict[str, ServiceInvocationProfile]:
         """Service profiles used by every timeline run (computed once)."""
         if self._service_profiles is None:
-            self._service_profiles = self.service_profiles(invocations=30)
+            report = RunReport()
+            (self._service_profiles,) = measure_services(
+                [self], workers=self.workers, report=report,
+                **self._supervision_kwargs(),
+            )
+            self.run_report.merge(report)
         return self._service_profiles
 
     # ------------------------------------------------------------------
@@ -472,3 +445,112 @@ class SoftWatt:
     def validate_max_power(self) -> float:
         """The R10000 maximum-power validation (~25.3 W)."""
         return self.model.max_power_w()
+
+
+# ---------------------------------------------------------------------------
+# Kernel-service characterisation shared across machines
+# ---------------------------------------------------------------------------
+
+
+def measure_services(
+    softwatts: Sequence[SoftWatt],
+    services: tuple[str, ...] = KERNEL_SERVICES,
+    *,
+    invocations: int = TIMELINE_SERVICE_INVOCATIONS,
+    workers: int = 1,
+    report: RunReport,
+    **supervision,
+) -> list[dict[str, ServiceInvocationProfile]]:
+    """Price-free ``services`` profiles for each instance in ``softwatts``.
+
+    Each distinct service key is characterised once, however many
+    instances share it (they differ only in what services never read:
+    technology, TLB, fidelity rung).  A key is looked up in the
+    persistent cache of the first instance that needs it; the misses
+    run on that instance's profiler when ``workers <= 1``, else in one
+    supervised fan-out over every (service, key) pair, and are stored
+    back.  ``supervision`` forwards to the fan-out.  Under best effort
+    a failed characterisation is absent from the returned mappings.
+    """
+    owners: dict[str, tuple[SoftWatt, str]] = {}
+    keys_by_instance: list[dict[str, str]] = []
+    for softwatt in softwatts:
+        keys = {
+            service: softwatt._service_key(service, invocations)
+            for service in services
+        }
+        keys_by_instance.append(keys)
+        for service, key in keys.items():
+            owners.setdefault(key, (softwatt, service))
+    measured: dict[str, ServiceInvocationProfile] = {}
+    pending: list[str] = []
+    for key, (softwatt, _) in owners.items():
+        cached = None if softwatt.cache is None else softwatt.cache.load_service(key)
+        if cached is not None:
+            measured[key] = cached
+        else:
+            pending.append(key)
+    if workers <= 1:
+        for key in pending:
+            softwatt, service = owners[key]
+            measured[key] = softwatt.profiler.profile_service(
+                service, invocations=invocations, warmup=SERVICE_WARMUP
+            )
+    elif pending:
+        # Deliberately lazy: workers <= 1 never touches the pool machinery.
+        from repro.parallel import (  # noqa: PLC0415
+            ProfileServiceTask,
+            profile_services,
+        )
+
+        tasks = [
+            ProfileServiceTask(
+                service=service,
+                config=softwatt.config,
+                cpu_model=softwatt.cpu_model,
+                invocations=invocations,
+                warmup=SERVICE_WARMUP,
+                seed=softwatt.seed,
+            )
+            for softwatt, service in map(owners.get, pending)
+        ]
+        results = profile_services(
+            tasks, workers=workers, report=report, **supervision
+        )
+        for key, profile in zip(pending, results):
+            if profile is not None:
+                measured[key] = profile
+    for key in pending:
+        softwatt = owners[key][0]
+        if key in measured and softwatt.cache is not None:
+            softwatt.cache.store_service(key, measured[key])
+    return [
+        {service: measured[key] for service, key in keys.items() if key in measured}
+        for keys in keys_by_instance
+    ]
+
+
+def share_timeline_services(
+    softwatts: Sequence[SoftWatt], *, workers: int, report: RunReport, **supervision
+) -> int:
+    """Give every instance the service profiles its timeline runs need.
+
+    That set is :func:`measure_services`' default (every kernel service,
+    :data:`TIMELINE_SERVICE_INVOCATIONS` invocations after
+    :data:`SERVICE_WARMUP` warm-up ones), so instances on the same
+    simulated machine share one characterisation.  An instance whose
+    set came back incomplete (a best-effort casualty) is left to
+    characterise its own.  Returns the number of distinct simulated
+    machines.
+    """
+    measured = measure_services(
+        softwatts, workers=workers, report=report, **supervision
+    )
+    for softwatt, services in zip(softwatts, measured):
+        if len(services) == len(KERNEL_SERVICES):
+            softwatt._service_profiles = services
+    return len({
+        tuple(softwatt._service_key(service, TIMELINE_SERVICE_INVOCATIONS)
+              for service in KERNEL_SERVICES)
+        for softwatt in softwatts
+    })

@@ -29,7 +29,6 @@ from repro.core.profiles import (
     Profiler,
     ServiceInvocationProfile,
 )
-from repro.power.processor import ProcessorPowerModel
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runreport import RunReport
 from repro.resilience.supervisor import SupervisorPolicy, supervised_map
@@ -134,10 +133,8 @@ def run_profile_benchmark_task(task: ProfileBenchmarkTask) -> BenchmarkProfile:
 def run_profile_service_task(task: ProfileServiceTask) -> ServiceInvocationProfile:
     """Profile one kernel service on a fresh profiler (child-process entry)."""
     profiler = _make_profiler(task)
-    model = ProcessorPowerModel(task.config)
     return profiler.profile_service(
         task.service,
-        model,
         invocations=task.invocations,
         warmup=task.warmup,
     )
@@ -151,7 +148,9 @@ class SweepPointTask:
     fresh :class:`~repro.core.softwatt.SoftWatt` (hitting the shared
     persistent profile cache when one is configured) and returns the
     condensed :class:`~repro.core.campaign.SweepPoint`, which is small
-    and picklable — full results stay in the child.
+    and picklable — full results stay in the child.  The kernel-service
+    profiles the campaign characterised for this point's machine ride
+    along, so the child does not re-measure them.
     """
 
     value: object
@@ -165,6 +164,7 @@ class SweepPointTask:
     idle_policy: str
     cache_dir: object
     use_cache: bool
+    service_profiles: dict[str, ServiceInvocationProfile] | None = None
 
 
 def run_sweep_point_task(task: SweepPointTask):
@@ -182,6 +182,7 @@ def run_sweep_point_task(task: SweepPointTask):
         cache_dir=task.cache_dir,
         use_cache=task.use_cache,
     )
+    softwatt._service_profiles = task.service_profiles
     result = softwatt.run(
         task.benchmark, disk=task.policy, idle_policy=task.idle_policy
     )

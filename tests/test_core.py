@@ -75,7 +75,7 @@ class TestServiceProfiles:
         profiler = Profiler(window_instructions=WINDOW, seed=1)
         model = ProcessorPowerModel(SystemConfig.table1())
         return {
-            name: profiler.profile_service(name, model, invocations=25)
+            name: profiler.profile_service(name, invocations=25).priced(model)
             for name in ("utlb", "read", "demand_zero", "cacheflush", "open", "write")
         }
 

@@ -69,8 +69,8 @@ class TestTasks:
     def test_service_task_matches_shared_profiler(self):
         sw = SoftWatt(window_instructions=WINDOW, seed=1, use_cache=False)
         direct = sw.profiler.profile_service(
-            "read", sw.model, invocations=10
-        )
+            "read", invocations=10
+        ).priced(sw.model)
         task_result = run_profile_service_task(
             ProfileServiceTask(
                 service="read", config=sw.config, cpu_model="mxs",
@@ -78,7 +78,7 @@ class TestTasks:
             )
         )
         assert task_result.mean_cycles == direct.mean_cycles
-        assert task_result.energies_j == direct.energies_j
+        assert task_result.priced(sw.model).energies_j == direct.energies_j
 
 
 class TestSuiteBitIdentity:

@@ -3,21 +3,59 @@
 import dataclasses
 import json
 
+import pytest
+
 from repro.config import SystemConfig
 from repro.core import checkpoint
 from repro.core.checkpoint import (
     CACHE_DIR_ENV,
     MODEL_VERSION,
+    CheckpointError,
     ProfileCache,
     decode_profile,
     encode_profile,
+    load_checkpoint,
     profile_cache_key,
+    save_checkpoint,
     service_cache_key,
 )
 from repro.core.softwatt import SoftWatt
 from repro.workloads.specjvm98 import benchmark
 
 WINDOW = 4000
+
+_TABLE1 = SystemConfig.table1()
+
+
+def _replace(config, part, **values):
+    return dataclasses.replace(
+        config, **{part: dataclasses.replace(getattr(config, part), **values)}
+    )
+
+
+#: Changes a kernel-service characterisation never sees: pricing and
+#: clock (technology), the TLB (handlers run in KSEG) and the fidelity
+#: rung (services always run on the detailed core).
+SERVICE_BLIND_VARIANTS = (
+    _replace(_TABLE1, "tlb", entries=48),
+    _replace(_TABLE1, "tlb", entries=96),
+    _TABLE1.with_hardware_tlb(),
+    _replace(_TABLE1, "technology", vdd=2.5),
+    _replace(_TABLE1, "technology", feature_size_um=0.25),
+    _replace(_TABLE1, "technology", calibration=1.3),
+    _replace(_TABLE1, "technology", clock_hz=_TABLE1.technology.clock_hz / 2),
+    _TABLE1.with_fidelity("atomic"),
+    _TABLE1.with_fidelity("sampled"),
+)
+
+#: Changes to what the service simulation does read.
+SIMULATED_VARIANTS = (
+    _replace(_TABLE1, "l1i", size_bytes=16 * 1024),
+    _replace(_TABLE1, "l1d", size_bytes=16 * 1024),
+    _replace(_TABLE1, "l2", size_bytes=512 * 1024),
+    _replace(_TABLE1, "memory", access_latency_cycles=80),
+    _replace(_TABLE1, "core", issue_width=2),
+)
 
 
 def make_sw(tmp_path, **overrides):
@@ -64,6 +102,35 @@ class TestCacheKeys:
         assert service_cache_key(
             "read", config, **{**base, "invocations": 60}
         ) != reference
+        for field, value in (("cpu_model", "mipsy"), ("warmup", 5),
+                             ("seed", 2)):
+            assert service_cache_key(
+                "read", config, **{**base, field: value}
+            ) != reference
+        # What the service simulation reads changes the key...
+        for variant in SIMULATED_VARIANTS:
+            assert service_cache_key("read", variant, **base) != reference
+        # ...and what it never reads does not.
+        for variant in SERVICE_BLIND_VARIANTS:
+            assert service_cache_key("read", variant, **base) == reference
+
+    def test_benchmark_key_ignores_only_technology(self):
+        config = SystemConfig.table1()
+        kwargs = dict(cpu_model="mxs", window_instructions=WINDOW,
+                      startup_chunks=4, steady_chunks=2, seed=1)
+        spec = benchmark("jess")
+        reference = profile_cache_key(spec, config, **kwargs)
+        technology = [
+            variant for variant in SERVICE_BLIND_VARIANTS
+            if variant.tlb == config.tlb and variant.fidelity == config.fidelity
+        ]
+        assert technology
+        for variant in technology:
+            assert profile_cache_key(spec, variant, **kwargs) == reference
+        # Benchmark windows do translate and do run on the rung.
+        for variant in SERVICE_BLIND_VARIANTS:
+            if variant not in technology:
+                assert profile_cache_key(spec, variant, **kwargs) != reference
 
 
 class TestEncodeDecodeRoundTrip:
@@ -165,6 +232,38 @@ class TestPersistentCache:
         (tmp_path / "torn.json").write_text("{")
         assert ProfileCache(tmp_path).evict_stale() == 2
         assert len(list(tmp_path.glob("*.json"))) == good
+
+    @pytest.mark.parametrize("version", [1, MODEL_VERSION])
+    def test_old_format_service_entry_misses_and_is_quarantined(
+        self, tmp_path, version
+    ):
+        """A priced-at-simulation service entry (the version-1 layout)
+        never decodes, even when it claims the current version."""
+        sw = make_sw(tmp_path)
+        key = sw._service_key("read", 30)
+        (tmp_path / f"{key}.json").write_text(json.dumps({
+            "kind": "service", "model_version": version,
+            "profile": {"service": "read", "cycles": [40.0, 40.0],
+                        "energies_j": [1e-9, 1e-9], "category_energy_j": {},
+                        "mean_counters": {"l1i_access": 40},
+                        "instructions_per_invocation": 40.0},
+        }))
+        assert sw.cache.load_service(key) is None
+        assert sw.cache.stats.quarantined == 1
+        assert sw.service_profiles(("read",), invocations=30)["read"].energies_j
+
+    def test_old_checkpoint_version_is_rejected(self, tmp_path):
+        sw = make_sw(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, profiles={}, service_profiles={
+            "utlb": sw.profiler.profile_service("utlb", invocations=2)})
+        _, services, _ = load_checkpoint(path)
+        assert services["utlb"].counters
+        document = json.loads(path.read_text())
+        document["version"] = 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
 
     def test_readonly_cache_dir_does_not_break_profiling(self, tmp_path):
         missing = tmp_path / "no-such" / "nested"
