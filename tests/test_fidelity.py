@@ -26,6 +26,7 @@ from repro.config.system import (
     FidelityTier,
     SystemConfig,
 )
+from repro.core import profiles
 from repro.core.checkpoint import profile_cache_key
 from repro.core.profiles import Profiler, make_cpu, make_tier_cpu
 from repro.core.softwatt import SoftWatt
@@ -132,10 +133,10 @@ class TestDeterminism:
 
 @pytest.mark.fidelity
 class TestErrorBounds:
-    """Suite-wide energy error gates (mirrored by scripts/bench.py).
+    """Suite-wide energy error gates.
 
     Window 6000 keeps the sweep fast; the bounds hold with more margin
-    at the full-size windows the bench stage uses.
+    at full-size windows.
     """
 
     WINDOW = 6000
@@ -165,6 +166,51 @@ class TestErrorBounds:
             assert error <= self.LIMITS[tier], (
                 f"{tier} tier off by {error:.2%} on {name}"
             )
+
+
+@pytest.mark.fidelity
+class TestRungWork:
+    """The cheap rungs are fast because they generate fewer
+    instructions than they represent, not because of host timing.
+
+    Over a cold profile of each benchmark (a fresh profiler, so each
+    also measures the idle loop) at a full-size window, every bounded
+    ``run`` of a rung's CPU represents ``max_instructions`` but
+    generates only ``stream_consumed``; the ratio is the rung's work
+    saving, pinned here as a deterministic count.
+    """
+
+    WINDOW = 60_000
+    MIN_RATIO = {"sampled": 2.5, "atomic": 10.0}
+
+    @pytest.mark.parametrize("tier", ["sampled", "atomic"])
+    def test_represented_over_generated(self, monkeypatch, tier):
+        work = {"represented": 0, "generated": 0}
+
+        def counting_tier_cpu(*args):
+            cpu = make_tier_cpu(*args)
+            run = cpu.run
+
+            def bounded_run(stream, *, max_instructions=None):
+                stats = run(stream, max_instructions=max_instructions)
+                if max_instructions is not None:
+                    work["represented"] += max_instructions
+                    work["generated"] += cpu.stream_consumed
+                return stats
+
+            cpu.run = bounded_run
+            return cpu
+
+        monkeypatch.setattr(profiles, "make_tier_cpu", counting_tier_cpu)
+        for name in BENCHMARK_NAMES:
+            Profiler(
+                config=_config(tier), cpu_model="mipsy",
+                window_instructions=self.WINDOW, seed=1,
+            ).profile_benchmark(benchmark(name))
+        ratio = work["represented"] / work["generated"]
+        assert ratio >= self.MIN_RATIO[tier], (
+            f"{tier} rung represents only {ratio:.2f}x what it generates"
+        )
 
 
 class TestCacheKeys:

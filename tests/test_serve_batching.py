@@ -10,6 +10,7 @@ one expired deadline) and never stalls or fails the rest of the batch.
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -220,29 +221,57 @@ class TestBatchEndpoint:
         finally:
             running.stop()
 
-    def test_identical_items_coalesce_across_connections(self, cache_dir):
+    def test_identical_items_coalesce_across_connections(
+        self, cache_dir, offline
+    ):
+        """32 keep-alive connections sending one request: one
+        computation, 31 coalesced followers, every reply equal to the
+        offline answer.  The leader is held inside ``estimate`` until
+        every follower has joined its flight, so the count does not
+        depend on thread timing."""
+        connections = 32
         engine = make_engine(cache_dir)
         running = _RunningServer(engine, queue_depth=64)
+        calls = []
+        real_estimate = engine.estimate
+
+        def held_estimate(*args, **kwargs):
+            calls.append(args)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                hits = running.server.scheduler.snapshot()[
+                    "single_flight"]["hits"]
+                if hits == connections - 1:
+                    break
+                time.sleep(0.005)
+            return real_estimate(*args, **kwargs)
+
+        engine.estimate = held_estimate
         try:
-            bodies = [None] * 6
+            bodies = [None] * connections
 
             def fire(i):
-                with ServeClient(port=running.port) as client:
+                with ServeClient(port=running.port, timeout_s=120) as client:
                     bodies[i] = client.run("javac", cpu_model="mipsy")
 
             threads = [
-                threading.Thread(target=fire, args=(i,)) for i in range(6)
+                threading.Thread(target=fire, args=(i,))
+                for i in range(connections)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
+            assert len(calls) == 1
             assert all(reply.status == 200 for reply in bodies)
-            distinct = {
-                json.dumps(reply.payload["result"], sort_keys=True)
+            assert all(
+                reply.payload["result"] == offline["javac"]["result"]
                 for reply in bodies
-            }
-            assert len(distinct) == 1
+            )
+            snapshot = running.server.scheduler.snapshot()
+            assert snapshot["coalesced"] == connections - 1
+            assert snapshot["single_flight"]["hits"] == connections - 1
+            assert snapshot["single_flight"]["misses"] == 1
         finally:
             running.stop()
 

@@ -148,6 +148,15 @@ def test_grid_characterises_each_machine_once(
     assert "3 service characterisations for 6 structural points" in (
         sweep.report.notes)
     assert sweep.points == offline_grid
+    if use_cache:
+        # A second grid over the warm cache characterises nothing and
+        # still matches the offline runs.
+        log.write_text("")
+        warm = SweepCampaign(
+            workers=workers, cache_dir=tmp_path / "cache", **SETTINGS,
+        ).run_grid(GRID)
+        assert log.read_text() == ""
+        assert warm.points == offline_grid
 
 
 def test_benchmark_profiles_shared_across_technology(tmp_path, monkeypatch):
