@@ -21,10 +21,11 @@ from collections import Counter
 
 from repro.config.diskcfg import DiskPowerPolicy
 from repro.config.system import ConfigError, FidelityConfig, FidelityTier
+from repro.core.checkpoint import CheckpointError
 from repro.core.report import MODE_ORDER, BenchmarkResult
 from repro.core.softwatt import SoftWatt
 from repro.kernel.modes import KERNEL_SERVICES
-from repro.resilience.faults import FaultPlan
+from repro.resilience.faults import HANG, FaultPlan
 from repro.resilience.supervisor import TaskExecutionError
 from repro.workloads.specjvm98 import BENCHMARK_NAMES
 
@@ -34,11 +35,16 @@ summarise the partial run report even when the interrupt escaped the
 supervisor (e.g. between supervised stages)."""
 
 
+class UsageError(ValueError):
+    """Options that cannot work together; exits 2 before any simulation."""
+
+
 def _add_resilience(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="wall-clock budget per profiling task "
-                             "(enforced in pool mode; default: none)")
+                        help="wall-clock budget per profiling task; only "
+                             "a worker pool can stop a task, so it needs "
+                             "--workers 2 or more (default: none)")
     parser.add_argument("--retries", type=int, default=2,
                         help="retries per profiling task after its first "
                              "attempt (default: 2)")
@@ -96,9 +102,23 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resilience_kwargs(args: argparse.Namespace) -> dict:
+    """Supervision options; every fan-out stage honours them at any
+    worker count, except what only a worker pool can interrupt."""
     fault_plan = None
     if getattr(args, "fault_plan", None):
-        fault_plan = FaultPlan.parse(args.fault_plan, hang_seconds=3600.0)
+        try:
+            fault_plan = FaultPlan.parse(args.fault_plan, hang_seconds=3600.0)
+        except ValueError as error:
+            raise UsageError(str(error)) from None
+    if getattr(args, "workers", 1) <= 1:
+        # An in-process task cannot be stopped: a hang would block for
+        # an hour and a timeout would never fire.
+        if fault_plan is not None and any(
+            spec.kind == HANG for spec in fault_plan.specs
+        ):
+            raise UsageError("a 'hang' fault needs --workers 2 or more")
+        if getattr(args, "task_timeout", None) is not None:
+            raise UsageError("--task-timeout needs --workers 2 or more")
     return dict(
         task_timeout=getattr(args, "task_timeout", None),
         retries=getattr(args, "retries", 2),
@@ -161,13 +181,10 @@ def _make_softwatt(args: argparse.Namespace) -> SoftWatt:
         try:
             softwatt.load_checkpoint(args.checkpoint)
             print(f"(profiles loaded from {args.checkpoint})")
-        except (OSError, Exception) as error:  # noqa: BLE001 - report and continue
-            from repro.core.checkpoint import CheckpointError  # noqa: PLC0415
-
-            if isinstance(error, CheckpointError) and "cannot read" in str(error):
-                print(f"(no checkpoint at {args.checkpoint} yet; will create it)")
-            else:
+        except CheckpointError as error:
+            if "cannot read" not in str(error):
                 raise
+            print(f"(no checkpoint at {args.checkpoint} yet; will create it)")
     return softwatt
 
 
@@ -351,6 +368,9 @@ def cmd_services(args: argparse.Namespace) -> int:
     print(f"{'service':12s} {'cycles':>8s} {'energy J':>11s} {'CoD %':>7s} "
           f"{'power W':>8s}")
     for name in KERNEL_SERVICES:
+        if name not in profiles:  # best-effort casualty, see run report
+            print(f"{name:12s} {'SKIPPED':>8s}")
+            continue
         profile = profiles[name]
         print(f"{name:12s} {profile.mean_cycles:8.0f} "
               f"{profile.mean_energy_j:11.4g} "
@@ -525,9 +545,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     fault_plan = None
     if args.serve_fault_plan:
-        fault_plan = ServeFaultPlan.parse(
-            args.serve_fault_plan, slow_seconds=args.slow_seconds
-        )
+        try:
+            fault_plan = ServeFaultPlan.parse(
+                args.serve_fault_plan, slow_seconds=args.slow_seconds
+            )
+        except ValueError as error:
+            raise UsageError(str(error)) from None
     engine = EstimationEngine(
         window_instructions=args.window,
         seed=args.seed,
@@ -757,7 +780,8 @@ def main(argv: list[str] | None = None) -> int:
 
     Exit codes: 0 clean (or tolerated degradations without ``--strict``),
     1 degraded under ``--strict`` or a task failed after retries,
-    2 invalid system configuration or fault-plan spec,
+    2 invalid system configuration, option combination, fault-plan
+    spec or checkpoint,
     130 interrupted (with a partial run-report summary, not a traceback).
     """
     global _ACTIVE_SOFTWATT
@@ -769,11 +793,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2
-    except ValueError as error:
-        if "fault spec" in str(error):
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        raise
+    except (UsageError, CheckpointError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except TaskExecutionError as error:
         print(f"error: {error}", file=sys.stderr)
         print(error.report.summary(), file=sys.stderr)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -53,6 +54,7 @@ from repro.core.report import BenchmarkResult
 from repro.core.softwatt import SoftWatt, share_timeline_services, speed_factor
 from repro.core.timeline import TimelineSimulator, disk_power_series
 from repro.kernel.modes import ExecutionMode
+from repro.parallel import parallel_map
 from repro.power.processor import ProcessorPowerModel
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runreport import RunReport
@@ -250,6 +252,14 @@ def point_from_result(value, result: BenchmarkResult) -> SweepPoint:
     )
 
 
+def _structural_point(item, *, benchmark: str, idle_policy: str) -> SweepPoint:
+    """Simulate one ``(SoftWatt, PlannedPoint)`` end to end (a fan-out
+    task); the point's SoftWatt carries its shared service profiles."""
+    softwatt, planned = item
+    result = softwatt.run(benchmark, disk=planned.policy, idle_policy=idle_policy)
+    return point_from_result(planned.value, result)
+
+
 def _scale_cache(cache: CacheConfig, size_bytes: int) -> CacheConfig:
     return dataclasses.replace(cache, size_bytes=size_bytes)
 
@@ -424,10 +434,10 @@ class SweepCampaign:
             # tier decision (which diffs config leaves against the
             # base) never sees the fidelity sub-config, and only
             # points that actually re-simulate are downgraded.  The
-            # fidelity travels inside the point's config, so both the
-            # serial path and the parallel SweepPointTask path honour
-            # it, and profile-cache keys (built from the full config)
-            # keep sub-detailed results out of detailed caches.
+            # fidelity travels inside the point's config, so the
+            # point's SoftWatt honours it at any worker count, and
+            # profile-cache keys (built from the full config) keep
+            # sub-detailed results out of detailed caches.
             config = config.with_fidelity(self.fidelity).validate()
             fidelity = self.fidelity.value
         return PlannedPoint(
@@ -594,15 +604,6 @@ class SweepCampaign:
             use_cache=self.use_cache,
         )
 
-    def _structural_point(
-        self, planned: PlannedPoint, softwatt: SoftWatt
-    ) -> SweepPoint:
-        """Full detailed simulation at this point on its own SoftWatt."""
-        result = softwatt.run(
-            self.benchmark, disk=planned.policy, idle_policy=self.idle_policy
-        )
-        return point_from_result(planned.value, result)
-
     def _supervision_kwargs(self) -> dict:
         return {
             "task_timeout": self.task_timeout,
@@ -634,24 +635,23 @@ class SweepCampaign:
         """Evaluate a plan, fanning structural points out when asked.
 
         Results keep plan order.  Structural points on the same
-        simulated machine share one kernel-service characterisation.
-        Under ``best_effort`` a structural point whose simulation failed
-        is dropped (and recorded in ``report``) instead of aborting the
-        sweep.
+        simulated machine share one kernel-service characterisation,
+        then run in one supervised fan-out, each on its own
+        :class:`SoftWatt`.  Under ``best_effort`` a structural point
+        whose simulation failed is dropped (and recorded in ``report``)
+        instead of aborting the sweep.
         """
         report = report if report is not None else RunReport()
-        results: dict[int, SweepPoint | None] = {}
+        points: list[SweepPoint | None] = [None] * len(plan)
         structural = [
             (index, planned)
             for index, planned in enumerate(plan)
             if planned.tier is Tier.STRUCTURAL
         ]
-        softwatts = {
-            index: self._point_softwatt(planned) for index, planned in structural
-        }
-        if softwatts:
+        if structural:
+            softwatts = [self._point_softwatt(planned) for _, planned in structural]
             machines = share_timeline_services(
-                list(softwatts.values()),
+                softwatts,
                 workers=self.workers,
                 report=report,
                 **self._supervision_kwargs(),
@@ -660,49 +660,27 @@ class SweepCampaign:
                 f"{machines} service characterisations for "
                 f"{len(softwatts)} structural points"
             )
-        if self.workers > 1 and len(structural) > 1:
-            from repro.parallel import SweepPointTask, sweep_points  # noqa: PLC0415
-
-            tasks = [
-                SweepPointTask(
-                    value=planned.value,
-                    config=planned.config,
-                    policy=planned.policy,
+            swept = parallel_map(
+                functools.partial(
+                    _structural_point,
                     benchmark=self.benchmark,
-                    cpu_model=self.cpu_model,
-                    window_instructions=self.window_instructions,
-                    sample_interval_s=self.sample_interval_s,
-                    seed=self.seed,
                     idle_policy=self.idle_policy,
-                    cache_dir=self.cache_dir,
-                    use_cache=self.use_cache,
-                    service_profiles=softwatts[index]._service_profiles,
-                )
-                for index, planned in structural
-            ]
-            points = sweep_points(
-                tasks,
+                ),
+                [(softwatt, planned) for softwatt, (_, planned)
+                 in zip(softwatts, structural)],
                 workers=self.workers,
                 labels=[planned.label for _, planned in structural],
                 report=report,
                 **self._supervision_kwargs(),
             )
-            for (index, _), point in zip(structural, points):
-                results[index] = point
+            for (index, _), point in zip(structural, swept):
+                points[index] = point
         for index, planned in enumerate(plan):
-            if index in results:
-                continue
-            if planned.tier is Tier.STRUCTURAL:
-                results[index] = self._structural_point(planned, softwatts[index])
-            elif planned.tier is Tier.TIMELINE:
-                results[index] = self._timeline_point(planned)
-            else:
-                results[index] = self._ledger_point(planned)
-        return [
-            results[index]
-            for index in range(len(plan))
-            if results[index] is not None
-        ]
+            if planned.tier is Tier.TIMELINE:
+                points[index] = self._timeline_point(planned)
+            elif planned.tier is Tier.LEDGER:
+                points[index] = self._ledger_point(planned)
+        return [point for point in points if point is not None]
 
     def run(
         self,

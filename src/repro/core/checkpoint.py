@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import pathlib
+from typing import Callable
 
 from repro.core.profiles import (
     BenchmarkProfile,
@@ -45,7 +46,8 @@ from repro.stats.counters import AccessCounters
 from repro.stats.simlog import log_degradation
 from repro.workloads.specjvm98 import BenchmarkSpec, benchmark
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+"""Version 3: each entry carries the cache key it was profiled under."""
 _USER_KEY = "__user__"
 
 MODEL_VERSION = 2
@@ -510,38 +512,73 @@ class ProfileCache:
 # Public API
 # ---------------------------------------------------------------------------
 
+ProfileKey = Callable[[BenchmarkSpec], str]
+"""The cache key a benchmark profile is made under (:func:`profile_cache_key`
+with one instance's machine, window and seed bound)."""
+
+ServiceKey = Callable[[str, int], str]
+"""The cache key of ``(service, invocations)`` (:func:`service_cache_key`
+with one instance's machine and seed bound)."""
+
+
 def save_checkpoint(
     path: str | pathlib.Path,
     *,
     profiles: dict[str, BenchmarkProfile],
     service_profiles: dict[str, ServiceInvocationProfile] | None = None,
     cpu_model: str = "mxs",
+    profile_key: ProfileKey | None = None,
+    service_key: ServiceKey | None = None,
 ) -> None:
-    """Write benchmark and service profiles to ``path`` as JSON."""
+    """Write benchmark and service profiles to ``path`` as JSON.
+
+    With ``profile_key`` / ``service_key`` each entry records the cache
+    key it was made under, so :func:`load_checkpoint` can refuse it on
+    another machine.
+    """
     document = {
         "version": CHECKPOINT_VERSION,
         "cpu_model": cpu_model,
         "benchmarks": {
-            name: encode_profile(profile) for name, profile in profiles.items()
+            name: {
+                **encode_profile(profile),
+                "key": profile_key and profile_key(profile.spec),
+            }
+            for name, profile in profiles.items()
         },
         "services": {
-            name: _encode_service(profile)
+            name: {
+                **_encode_service(profile),
+                "key": service_key and service_key(name, profile.invocations),
+            }
             for name, profile in (service_profiles or {}).items()
         },
     }
     pathlib.Path(path).write_text(json.dumps(document))
 
 
+def _check_key(payload: dict, key: str | None, entry: str) -> None:
+    if key is not None and payload.get("key") != key:
+        raise CheckpointError(
+            f"checkpoint {entry} was profiled under another CPU model, "
+            f"machine, window or seed than this instance's"
+        )
+
+
 def load_checkpoint(
     path: str | pathlib.Path,
     *,
     config: SystemConfig | None = None,
+    profile_key: ProfileKey | None = None,
+    service_key: ServiceKey | None = None,
 ) -> tuple[dict[str, BenchmarkProfile], dict[str, ServiceInvocationProfile], str]:
     """Read ``path`` back; returns (profiles, service profiles, cpu model).
 
     Specs are re-resolved from the benchmark registry by name, so a
     checkpoint stays valid across sessions as long as the named
-    benchmarks exist.
+    benchmarks exist.  With ``profile_key`` / ``service_key`` an entry
+    whose recorded cache key differs from the key this caller would
+    profile it under raises :class:`CheckpointError` naming the entry.
     """
     config = config if config is not None else SystemConfig.table1()
     try:
@@ -556,9 +593,14 @@ def load_checkpoint(
     profiles: dict[str, BenchmarkProfile] = {}
     for name, payload in document.get("benchmarks", {}).items():
         spec: BenchmarkSpec = benchmark(payload["spec"])
+        _check_key(payload, profile_key and profile_key(spec), f"benchmark {name!r}")
         profiles[name] = decode_profile(payload, spec=spec, config=config)
-    services = {
-        name: _decode_service(payload)
-        for name, payload in document.get("services", {}).items()
-    }
+    services = {}
+    for name, payload in document.get("services", {}).items():
+        services[name] = profile = _decode_service(payload)
+        _check_key(
+            payload,
+            service_key and service_key(name, profile.invocations),
+            f"service {name!r}",
+        )
     return profiles, services, document.get("cpu_model", "mxs")

@@ -18,19 +18,19 @@ optional accelerators sit on top:
 * a persistent content-addressed profile cache (enabled by pointing
   ``REPRO_CACHE_DIR`` at a directory, or passing ``cache_dir=``) that
   lets a second process skip detailed simulation entirely, and
-* a process-pool profiling fan-out (``workers=`` on the constructor or
-  on :meth:`run_suite` / :meth:`service_profiles`) that produces
-  bit-identical results to the serial path.
+* a supervised profiling fan-out (``workers=`` on the constructor or
+  on :meth:`run_suite` / :meth:`service_profiles`) whose results are
+  bit-identical at every worker count.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from repro.config.diskcfg import DiskPowerPolicy, disk_configuration
 from repro.config.system import FidelityConfig, SystemConfig
 from repro.core.checkpoint import (
-    CheckpointError,
     ProfileCache,
     load_checkpoint,
     profile_cache_key,
@@ -46,9 +46,11 @@ from repro.core.profiles import (
 from repro.core.report import BenchmarkResult
 from repro.core.timeline import TimelineSimulator, disk_power_series
 from repro.kernel.modes import KERNEL_SERVICES
+from repro.parallel import parallel_map
 from repro.power.processor import ProcessorPowerModel
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runreport import ReportedMapping, RunReport
+from repro.resilience.supervisor import TaskExecutionError
 from repro.stats.postprocess import compute_power_trace
 from repro.workloads.specjvm98 import BENCHMARK_NAMES, BenchmarkSpec, benchmark
 
@@ -168,10 +170,14 @@ class SoftWatt:
         profile = self._cached_profile(spec)
         if profile is None:
             profile = self.profiler.profile_benchmark(spec)
-            self._profiles[spec.name] = profile
-            if self.cache is not None:
-                self.cache.store_profile(self._profile_key(spec), profile)
+            self._keep_profile(spec, profile)
         return profile
+
+    def _keep_profile(self, spec: BenchmarkSpec, profile: BenchmarkProfile) -> None:
+        """Hold ``profile`` in memory and in the persistent cache."""
+        self._profiles[spec.name] = profile
+        if self.cache is not None:
+            self.cache.store_profile(self._profile_key(spec), profile)
 
     def _cached_profile(self, spec: BenchmarkSpec) -> BenchmarkProfile | None:
         """``spec``'s profile from memory, else from the persistent cache
@@ -196,52 +202,37 @@ class SoftWatt:
         *,
         workers: int | None = None,
     ) -> dict[str, BenchmarkProfile]:
-        """Profile several benchmarks, fanning out across processes.
+        """Profile several benchmarks under the supervised fan-out.
 
-        With ``workers <= 1`` this is just :meth:`profile` in a loop on
-        the shared profiler.  With more workers, benchmarks that miss
-        every cache are profiled in child processes on fresh profilers;
-        because each profile is built from fresh machine state seeded
-        only by ``(spec.seed, profiler seed)``, the results are
-        bit-identical to the serial path.  The parent stores the
-        returned profiles into the persistent cache.
+        Benchmarks that miss every cache are profiled by this instance's
+        profiler: in-process at one worker, else by copies of it in
+        child processes.  Each profile is built from fresh machine
+        state seeded only by ``(spec.seed, profiler seed)``, so the
+        results are bit-identical at every worker count.  Every profile
+        that completed is kept in memory and in the persistent cache,
+        also when another benchmark's failure raises
+        :class:`~repro.resilience.supervisor.TaskExecutionError`.
         """
-        workers = self.workers if workers is None else workers
         specs = [benchmark(name) if isinstance(name, str) else name for name in names]
-        report = RunReport()
-        if workers <= 1:
-            profiles = {spec.name: self.profile(spec) for spec in specs}
-            return self._attach_report(profiles, report)
-
-        # Deliberately lazy: workers <= 1 never touches the pool machinery.
-        from repro.parallel import (  # noqa: PLC0415
-            ProfileBenchmarkTask,
-            profile_benchmarks,
-        )
-
         pending = [spec for spec in specs if self._cached_profile(spec) is None]
-        profiler = self.profiler
-        tasks = [
-            ProfileBenchmarkTask(
-                spec=spec,
-                config=self.config,
-                cpu_model=self.cpu_model,
-                window_instructions=profiler.window_instructions,
-                startup_chunks=profiler.startup_chunks,
-                steady_chunks=profiler.steady_chunks,
-                seed=self.seed,
+        report = RunReport()
+        results: list = []
+        try:
+            results = parallel_map(
+                self.profiler.profile_benchmark,
+                pending,
+                workers=self.workers if workers is None else workers,
+                labels=[spec.name for spec in pending],
+                report=report,
+                **self._supervision_kwargs(),
             )
-            for spec in pending
-        ]
-        results = profile_benchmarks(
-            tasks, workers=workers, report=report, **self._supervision_kwargs()
-        )
-        for spec, profile in zip(pending, results):
-            if profile is None:  # best-effort casualty, recorded in report
-                continue
-            self._profiles[spec.name] = profile
-            if self.cache is not None:
-                self.cache.store_profile(self._profile_key(spec), profile)
+        except TaskExecutionError as error:
+            results = error.results
+            raise
+        finally:
+            for spec, profile in zip(pending, results):
+                if profile is not None:  # None: a failure, in the report
+                    self._keep_profile(spec, profile)
         profiles = {
             spec.name: self._profiles[spec.name]
             for spec in specs
@@ -376,8 +367,8 @@ class SoftWatt:
 
         Consults the persistent cache per service, and fans the cache
         misses out over ``workers`` processes; each service is measured
-        on fresh machine state, so the fan-out is bit-identical to the
-        serial loop.  The measurements are price-free; the returned
+        on fresh machine state, so the results are bit-identical at
+        every worker count.  The measurements are price-free; the returned
         profiles price them under this instance's model when read.
         """
         report = RunReport()
@@ -424,16 +415,23 @@ class SoftWatt:
             profiles=self._profiles,
             service_profiles=self._service_profiles,
             cpu_model=self.cpu_model,
+            profile_key=self._profile_key,
+            service_key=self._service_key,
         )
 
     def load_checkpoint(self, path) -> None:
-        """Load profiles saved by :meth:`save_checkpoint` into the cache."""
-        profiles, services, cpu_model = load_checkpoint(path, config=self.config)
-        if cpu_model != self.cpu_model:
-            raise CheckpointError(
-                f"checkpoint was taken with cpu_model={cpu_model!r}, this "
-                f"instance uses {self.cpu_model!r}"
-            )
+        """Load profiles saved by :meth:`save_checkpoint` into the cache.
+
+        Raises :class:`~repro.core.checkpoint.CheckpointError` when an
+        entry was profiled under another CPU model, machine, window or
+        seed than this instance's.
+        """
+        profiles, services, _ = load_checkpoint(
+            path,
+            config=self.config,
+            profile_key=self._profile_key,
+            service_key=self._service_key,
+        )
         self._profiles.update(profiles)
         if services:
             self._service_profiles = services
@@ -467,10 +465,11 @@ def measure_services(
     instances share it (they differ only in what services never read:
     technology, TLB, fidelity rung).  A key is looked up in the
     persistent cache of the first instance that needs it; the misses
-    run on that instance's profiler when ``workers <= 1``, else in one
-    supervised fan-out over every (service, key) pair, and are stored
-    back.  ``supervision`` forwards to the fan-out.  Under best effort
-    a failed characterisation is absent from the returned mappings.
+    run on that instance's profiler in one supervised fan-out, and every
+    one that completed is stored back, also when another's failure
+    raises :class:`~repro.resilience.supervisor.TaskExecutionError`.
+    ``supervision`` forwards to the fan-out.  Under best effort a
+    failed characterisation is absent from the returned mappings.
     """
     owners: dict[str, tuple[SoftWatt, str]] = {}
     keys_by_instance: list[dict[str, str]] = []
@@ -490,44 +489,39 @@ def measure_services(
             measured[key] = cached
         else:
             pending.append(key)
-    if workers <= 1:
-        for key in pending:
-            softwatt, service = owners[key]
-            measured[key] = softwatt.profiler.profile_service(
-                service, invocations=invocations, warmup=SERVICE_WARMUP
-            )
-    elif pending:
-        # Deliberately lazy: workers <= 1 never touches the pool machinery.
-        from repro.parallel import (  # noqa: PLC0415
-            ProfileServiceTask,
-            profile_services,
+    results: list = []
+    try:
+        results = parallel_map(
+            functools.partial(_profile_service, invocations=invocations),
+            [(owners[key][0].profiler, owners[key][1]) for key in pending],
+            workers=workers,
+            labels=[owners[key][1] for key in pending],
+            report=report,
+            **supervision,
         )
-
-        tasks = [
-            ProfileServiceTask(
-                service=service,
-                config=softwatt.config,
-                cpu_model=softwatt.cpu_model,
-                invocations=invocations,
-                warmup=SERVICE_WARMUP,
-                seed=softwatt.seed,
-            )
-            for softwatt, service in map(owners.get, pending)
-        ]
-        results = profile_services(
-            tasks, workers=workers, report=report, **supervision
-        )
+    except TaskExecutionError as error:
+        results = error.results
+        raise
+    finally:
         for key, profile in zip(pending, results):
-            if profile is not None:
-                measured[key] = profile
-    for key in pending:
-        softwatt = owners[key][0]
-        if key in measured and softwatt.cache is not None:
-            softwatt.cache.store_service(key, measured[key])
+            if profile is None:  # a failure, in the report
+                continue
+            measured[key] = profile
+            cache = owners[key][0].cache
+            if cache is not None:
+                cache.store_service(key, profile)
     return [
         {service: measured[key] for service, key in keys.items() if key in measured}
         for keys in keys_by_instance
     ]
+
+
+def _profile_service(item, *, invocations: int) -> ServiceInvocationProfile:
+    """Characterise one ``(profiler, service)`` pair (a fan-out task)."""
+    profiler, service = item
+    return profiler.profile_service(
+        service, invocations=invocations, warmup=SERVICE_WARMUP
+    )
 
 
 def share_timeline_services(

@@ -72,7 +72,6 @@ class FaultPlan:
 
     specs: tuple[FaultSpec, ...] = ()
     hang_seconds: float = 30.0
-    seed: int = 0
 
     # -- construction helpers ------------------------------------------
 

@@ -10,15 +10,13 @@ loop built on individually tracked futures:
   ``task_timeout_s`` is abandoned, its (possibly stuck) worker pool is
   replaced, and the task is retried.  In-flight victims of the restart
   are requeued without being charged an attempt.
-* **Bounded retries with deterministic backoff.**  Each task gets
-  ``retries + 1`` attempts; the delay before attempt *n* is
-  ``backoff_base_s * backoff_factor**(n - 2)`` — a pure function of the
-  attempt number, so recovery schedules are reproducible.
+* **Bounded retries.**  Each task gets ``retries + 1`` attempts, each
+  started immediately after the last one failed.
 * **``BrokenProcessPool`` recovery.**  When a worker dies, completed
   results are kept, only the unfinished tasks are requeued into a fresh
-  pool, and after ``max_pool_rebuilds`` rebuilds the supervisor degrades
-  to serial execution for the remainder — never re-running a task that
-  already produced a result.
+  pool, and after :data:`MAX_POOL_REBUILDS` rebuilds the supervisor
+  degrades to serial execution for the remainder — never re-running a
+  task that already produced a result.
 * **A structured record.**  Every outcome lands in a
   :class:`~repro.resilience.runreport.RunReport`; every degradation is
   also routed through :func:`repro.stats.simlog.log_degradation` so it
@@ -34,7 +32,6 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import dataclasses
-import hashlib
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -55,13 +52,22 @@ _R = TypeVar("_R")
 
 _UNSET = object()
 
+MAX_POOL_REBUILDS = 2
+"""Pool replacements (crash or timeout) before degrading to serial."""
+
 
 class TaskExecutionError(RuntimeError):
-    """A task exhausted its retries (raised unless ``best_effort``)."""
+    """A task exhausted its retries (raised unless ``best_effort``).
 
-    def __init__(self, message: str, report: RunReport) -> None:
+    ``results`` holds every task's result in input order, ``None`` for
+    the failed ones, so a caller can keep the work that did finish; the
+    last failed task's exception is the ``__cause__``.
+    """
+
+    def __init__(self, message: str, report: RunReport, results: list) -> None:
         super().__init__(message)
         self.report = report
+        self.results = results
 
 
 class SupervisionInterrupted(KeyboardInterrupt):
@@ -84,53 +90,19 @@ class SupervisorPolicy:
     retries: int = 2
     """Re-executions allowed per task after its first attempt."""
 
-    backoff_base_s: float = 0.0
-    backoff_factor: float = 2.0
-
-    max_pool_rebuilds: int = 2
-    """Pool replacements (crash or timeout) before degrading to serial."""
-
     best_effort: bool = False
     """When True, exhausted tasks yield ``None`` results instead of
     raising :class:`TaskExecutionError`."""
-
-    backoff_jitter: float = 0.0
-    """Spread each backoff delay by up to ±``jitter/2`` of itself so a
-    fleet of clients retrying against one server desynchronises.  The
-    spread is a *pure function* of ``(jitter_seed, task index,
-    attempt)`` — hash-derived, no RNG state — so schedules stay
-    reproducible.  0.0 (default) keeps the exact classic delays."""
-
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError("task timeout must be positive (or None)")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be non-negative and non-shrinking")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be non-negative")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError("backoff_jitter must be within [0, 1]")
 
     @property
     def max_attempts(self) -> int:
         return self.retries + 1
-
-    def backoff_s(self, attempt: int, index: int = 0) -> float:
-        """Deterministic delay before 1-based ``attempt`` (0 for the first)."""
-        if attempt <= 1 or self.backoff_base_s == 0.0:
-            return 0.0
-        delay = self.backoff_base_s * self.backoff_factor ** (attempt - 2)
-        if self.backoff_jitter == 0.0:
-            return delay
-        digest = hashlib.sha256(
-            f"{self.jitter_seed}:{index}:{attempt}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return delay * (1.0 + self.backoff_jitter * (unit - 0.5))
 
 
 def _invoke(fn, item, fault_plan, index, attempt):
@@ -160,6 +132,8 @@ class _Supervision:
         self.results: list = [_UNSET] * len(items)
         self.attempts = [0] * len(items)
         self.pending: collections.deque[int] = collections.deque(range(len(items)))
+        self.cause: BaseException | None = None
+        """The last failed task's exception."""
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -179,7 +153,10 @@ class _Supervision:
             )
         )
 
-    def _fail(self, index: int, error: str, duration_s: float) -> None:
+    def _fail(
+        self, index: int, error: str, duration_s: float, cause: BaseException
+    ) -> None:
+        self.cause = cause
         self.report.record_task(
             TaskRecord(
                 index=index,
@@ -196,16 +173,13 @@ class _Supervision:
             f"{self.attempts[index]} attempt(s): {error}",
         )
 
-    def _retry_or_fail(self, index: int, error: str, duration_s: float) -> None:
+    def _retry_or_fail(
+        self, index: int, error: str, duration_s: float, cause: BaseException
+    ) -> None:
         if self.attempts[index] >= self.policy.max_attempts:
-            self._fail(index, error, duration_s)
+            self._fail(index, error, duration_s, cause)
         else:
             self.pending.append(index)
-
-    def _sleep_backoff(self, index: int) -> None:
-        delay = self.policy.backoff_s(self.attempts[index], index)
-        if delay > 0:
-            time.sleep(delay)
 
     def dispatch(self, runner, *args) -> None:
         """Run an execution strategy, converting Ctrl-C into
@@ -227,7 +201,6 @@ class _Supervision:
         for index in indices:
             while True:
                 self.attempts[index] += 1
-                self._sleep_backoff(index)
                 start = time.monotonic()
                 try:
                     if self.fault_plan is not None:
@@ -239,7 +212,8 @@ class _Supervision:
                     elapsed = time.monotonic() - start
                     if self.attempts[index] >= self.policy.max_attempts:
                         self._fail(
-                            index, f"{type(error).__name__}: {error}", elapsed
+                            index, f"{type(error).__name__}: {error}", elapsed,
+                            error,
                         )
                         break
                 else:
@@ -261,7 +235,7 @@ class _Supervision:
             if not rebuild_needed:
                 return
             rebuilds += 1
-            if rebuilds > self.policy.max_pool_rebuilds:
+            if rebuilds > MAX_POOL_REBUILDS:
                 remaining = list(self.pending)
                 self.pending.clear()
                 self.report.serial_fallback = True
@@ -283,7 +257,6 @@ class _Supervision:
             while self.pending and len(running) < workers:
                 index = self.pending.popleft()
                 self.attempts[index] += 1
-                self._sleep_backoff(index)
                 try:
                     future = pool.submit(
                         _invoke,
@@ -314,12 +287,14 @@ class _Supervision:
                 elapsed = time.monotonic() - submitted_at
                 try:
                     value = future.result()
-                except BrokenProcessPool:
+                except BrokenProcessPool as error:
                     broken = True
-                    self._retry_or_fail(index, "worker process crashed", elapsed)
+                    self._retry_or_fail(
+                        index, "worker process crashed", elapsed, error
+                    )
                 except Exception as error:  # noqa: BLE001 - retried/reported
                     self._retry_or_fail(
-                        index, f"{type(error).__name__}: {error}", elapsed
+                        index, f"{type(error).__name__}: {error}", elapsed, error
                     )
                 else:
                     self._complete(index, value, elapsed)
@@ -345,9 +320,8 @@ class _Supervision:
                     f"task {self.labels[index]} exceeded {timeout:g}s "
                     f"(attempt {self.attempts[index]}); restarting worker pool",
                 )
-                self._retry_or_fail(
-                    index, f"timed out after {timeout:g}s", now - at
-                )
+                message = f"timed out after {timeout:g}s"
+                self._retry_or_fail(index, message, now - at, TimeoutError(message))
             # The expired tasks' workers may be stuck; replace the pool.
             # In-flight victims get their attempt refunded.
             for future, (index, at) in running.items():
@@ -366,8 +340,10 @@ class _Supervision:
                 # its result; a dead one raises BrokenProcessPool (or a
                 # cancellation/timeout error) and is requeued.
                 value = future.result(timeout=0)
-            except Exception:  # noqa: BLE001
-                self._retry_or_fail(index, "worker process crashed", elapsed)
+            except Exception as error:  # noqa: BLE001
+                self._retry_or_fail(
+                    index, "worker process crashed", elapsed, error
+                )
             else:
                 self._complete(index, value, elapsed)
         running.clear()
@@ -397,14 +373,16 @@ class _Supervision:
 
     def finish(self) -> tuple[list, RunReport]:
         self.report.tasks.sort(key=lambda task: task.index)
+        results = [None if r is _UNSET else r for r in self.results]
         failed = self.report.failed
         if failed and not self.policy.best_effort:
             names = ", ".join(task.label for task in failed)
             raise TaskExecutionError(
                 f"{len(failed)} task(s) failed after retries: {names}",
                 self.report,
-            )
-        return [None if r is _UNSET else r for r in self.results], self.report
+                results,
+            ) from self.cause
+        return results, self.report
 
 
 def supervised_map(
@@ -423,7 +401,8 @@ def supervised_map(
     tasks raise :class:`TaskExecutionError` unless
     ``policy.best_effort``, in which case their slots hold ``None``.
     ``use_pool`` forces (True) or forbids (False) the process pool; by
-    default the pool is used when ``workers > 1``.
+    default the pool is used when ``workers > 1``.  A lone task runs
+    in-process unless it has a timeout, which only a pool can enforce.
     """
     items = list(items)
     policy = policy if policy is not None else SupervisorPolicy()
@@ -445,7 +424,7 @@ def supervised_map(
     workers = min(requested, os.cpu_count() or 1, max(1, len(items)))
     state = _Supervision(fn, items, label_list, policy, fault_plan)
     pool_wanted = (requested > 1) if use_pool is None else use_pool
-    if not pool_wanted or len(items) <= 1:
+    if not pool_wanted or (len(items) <= 1 and policy.task_timeout_s is None):
         state.report.effective_workers = 1
         state.dispatch(state.run_serial, range(len(items)))
         return state.finish()

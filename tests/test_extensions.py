@@ -1,13 +1,15 @@
 """Tests for the extension features: annotations, checkpoints, idle
 halting, EDP/peak metrics, adaptive spin-down, and log export."""
 
+import json
 import math
 
 import pytest
 
 from repro import SoftWatt
-from repro.config import DiskMode, disk_configuration
+from repro.config import DiskMode, SystemConfig, disk_configuration
 from repro.core.annotations import AnnotationSet
+from repro.core.campaign import PARAMETERS
 from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.disk import (
     BREAK_EVEN_IDLE_S,
@@ -113,6 +115,28 @@ class TestCheckpoints:
         mipsy = SoftWatt(cpu_model="mipsy", window_instructions=WINDOW, seed=1)
         with pytest.raises(CheckpointError):
             mipsy.load_checkpoint(path)
+
+    @pytest.mark.parametrize("other", [
+        {"config": PARAMETERS["l2_size"](
+            SystemConfig.table1(), 4 * SystemConfig.table1().l2.size_bytes)},
+        {"window_instructions": WINDOW + 1000},
+        {"seed": 7},
+    ])
+    def test_other_machine_rejects_entries(self, softwatt, jess, tmp_path, other):
+        path = tmp_path / "profiles.json"
+        softwatt.save_checkpoint(path)
+        options = {"window_instructions": WINDOW, "seed": 1, **other}
+        with pytest.raises(CheckpointError, match=r"benchmark '\w+'"):
+            SoftWatt(**options).load_checkpoint(path)
+        document = json.loads(path.read_text())
+        document["benchmarks"] = {}
+        path.write_text(json.dumps(document))
+        if "window_instructions" in other:
+            # Service profiles do not depend on the window.
+            SoftWatt(**options).load_checkpoint(path)
+        else:
+            with pytest.raises(CheckpointError, match="service 'utlb'"):
+                SoftWatt(**options).load_checkpoint(path)
 
     def test_save_load_direct_api(self, softwatt, jess, tmp_path):
         path = tmp_path / "direct.json"

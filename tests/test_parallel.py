@@ -1,20 +1,19 @@
-"""Tests for the process-pool profiling fan-out."""
+"""Tests for the supervised profiling and sweep fan-out."""
 
+import functools
 import pickle
 
-from repro.config import SystemConfig
-from repro.core.softwatt import SoftWatt
-from repro.parallel import (
-    ProfileBenchmarkTask,
-    ProfileServiceTask,
-    parallel_map,
-    run_profile_benchmark_task,
-    run_profile_service_task,
-)
+from repro.core.campaign import SweepCampaign
+from repro.core.checkpoint import encode_profile
+from repro.core.softwatt import SERVICE_WARMUP, SoftWatt, _profile_service
+from repro.kernel.modes import KERNEL_SERVICES
+from repro.parallel import parallel_map
+from repro.resilience.faults import FaultPlan
 from repro.workloads.specjvm98 import benchmark
 
 WINDOW = 4000
 NAMES = ("jess", "db")
+SERVICES = ("read", "write", "utlb")
 
 
 def _square(value):
@@ -35,32 +34,30 @@ class TestParallelMap:
 
 
 class TestTasks:
+    """A fan-out task is a picklable callable plus its item; a pool
+    child runs an unpickled copy, which must answer like the original."""
+
     def test_tasks_pickle(self):
-        config = SystemConfig.table1()
-        bench_task = ProfileBenchmarkTask(
-            spec=benchmark("jess"), config=config, cpu_model="mxs",
-            window_instructions=WINDOW, startup_chunks=4, steady_chunks=2,
-            seed=1,
-        )
-        service_task = ProfileServiceTask(
-            service="read", config=config, cpu_model="mxs",
-            invocations=10, warmup=6, seed=1,
-        )
-        assert pickle.loads(pickle.dumps(bench_task)) == bench_task
-        assert pickle.loads(pickle.dumps(service_task)) == service_task
+        sw = SoftWatt(window_instructions=WINDOW, seed=1, use_cache=False)
+        bench_task = pickle.loads(pickle.dumps(sw.profiler.profile_benchmark))
+        assert bench_task.__func__ is type(sw.profiler).profile_benchmark
+        assert bench_task.__self__ is not sw.profiler
+        assert bench_task.__self__.seed == sw.profiler.seed
+        service_fn, (profiler, service) = pickle.loads(pickle.dumps((
+            functools.partial(_profile_service, invocations=10),
+            (sw.profiler, "read"),
+        )))
+        assert service_fn.func is _profile_service
+        assert service_fn.keywords == {"invocations": 10}
+        assert service == "read"
+        assert profiler.config == sw.profiler.config
+        assert pickle.loads(pickle.dumps(sw)).config == sw.config
 
     def test_benchmark_task_matches_shared_profiler(self):
         sw = SoftWatt(window_instructions=WINDOW, seed=1, use_cache=False)
         direct = sw.profile("jess")
-        task_result = run_profile_benchmark_task(
-            ProfileBenchmarkTask(
-                spec=benchmark("jess"), config=sw.config, cpu_model="mxs",
-                window_instructions=WINDOW,
-                startup_chunks=sw.profiler.startup_chunks,
-                steady_chunks=sw.profiler.steady_chunks,
-                seed=1,
-            )
-        )
+        task = pickle.loads(pickle.dumps(sw.profiler.profile_benchmark))
+        task_result = task(benchmark("jess"))
         for name, phase in direct.phases.items():
             other = task_result.phases[name]
             assert other.aggregate.cycles == phase.aggregate.cycles
@@ -69,16 +66,61 @@ class TestTasks:
     def test_service_task_matches_shared_profiler(self):
         sw = SoftWatt(window_instructions=WINDOW, seed=1, use_cache=False)
         direct = sw.profiler.profile_service(
-            "read", invocations=10
+            "read", invocations=10, warmup=SERVICE_WARMUP
         ).priced(sw.model)
-        task_result = run_profile_service_task(
-            ProfileServiceTask(
-                service="read", config=sw.config, cpu_model="mxs",
-                invocations=10, warmup=6, seed=1,
-            )
-        )
+        task, item = pickle.loads(pickle.dumps((
+            functools.partial(_profile_service, invocations=10),
+            (sw.profiler, "read"),
+        )))
+        task_result = task(item)
         assert task_result.mean_cycles == direct.mean_cycles
         assert task_result.priced(sw.model).energies_j == direct.energies_j
+
+
+def _stages(workers: int, fault_plan: FaultPlan | None):
+    """Answers and per-task attempts of the three fan-out stages: a
+    suite's profiling, the kernel services and a two-point structural
+    sweep."""
+    options = dict(
+        cpu_model="mipsy", window_instructions=2000, seed=1, use_cache=False,
+        workers=workers, fault_plan=fault_plan,
+    )
+    suite = SoftWatt(**options).profile_many(NAMES)
+    services = SoftWatt(**options).service_profiles(SERVICES, invocations=8)
+    # Two TLB sizes: two structural points on one service machine.
+    sweep = SweepCampaign(benchmark="jess", **options).run_grid(
+        {"tlb_entries": [48, 96]}
+    )
+    answers = (
+        {name: encode_profile(profile) for name, profile in suite.items()},
+        {
+            name: (profile.mean_cycles, profile.energies_j)
+            for name, profile in services.items()
+        },
+        sweep.points,
+    )
+    attempts = [
+        [(task.label, task.attempts, task.status) for task in report.tasks]
+        for report in (suite.report, services.report, sweep.report)
+    ]
+    return answers, attempts
+
+
+def test_every_stage_is_supervised_alike_at_every_worker_count():
+    clean, _ = _stages(1, None)
+    fault = FaultPlan.error_at(0)
+    serial, serial_attempts = _stages(1, fault)
+    pooled, pooled_attempts = _stages(2, fault)
+    assert serial == clean
+    assert pooled == clean
+    assert serial_attempts == pooled_attempts
+    suite, services, sweep = serial_attempts
+    assert suite == [("jess", 2, "ok"), ("db", 1, "ok")]
+    assert services == [("read", 2, "ok"), ("write", 1, "ok"), ("utlb", 1, "ok")]
+    # The sweep's report holds its service stage, then its two points.
+    assert sweep[0][1:] == (2, "ok")
+    assert len(sweep) == len(KERNEL_SERVICES) + 2
+    assert sweep[-2:] == [("tlb_entries=48", 2, "ok"), ("tlb_entries=96", 1, "ok")]
 
 
 class TestSuiteBitIdentity:

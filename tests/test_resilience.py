@@ -16,9 +16,11 @@ import pytest
 from repro.cli import main
 from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.core.softwatt import SoftWatt
+from repro.core.profiles import Profiler
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
+    InjectedFault,
     RunReport,
     SupervisionInterrupted,
     SupervisorPolicy,
@@ -79,54 +81,11 @@ class TestFaultPlan:
 
 
 class TestPolicy:
-    def test_backoff_is_deterministic_and_exponential(self):
-        policy = SupervisorPolicy(backoff_base_s=0.1, backoff_factor=2.0)
-        assert policy.backoff_s(1) == 0.0
-        assert policy.backoff_s(2) == pytest.approx(0.1)
-        assert policy.backoff_s(3) == pytest.approx(0.2)
-        assert policy.backoff_s(4) == pytest.approx(0.4)
-
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SupervisorPolicy(retries=-1)
         with pytest.raises(ValueError):
             SupervisorPolicy(task_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(backoff_jitter=1.5)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(backoff_jitter=-0.1)
-
-    def test_jitter_off_by_default_keeps_classic_delays(self):
-        plain = SupervisorPolicy(backoff_base_s=0.1, backoff_factor=2.0)
-        for attempt in range(1, 6):
-            for index in (0, 3, 17):
-                assert plain.backoff_s(attempt, index) == plain.backoff_s(attempt)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = SupervisorPolicy(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_jitter=0.5
-        )
-        again = SupervisorPolicy(
-            backoff_base_s=0.1, backoff_factor=2.0, backoff_jitter=0.5
-        )
-        for attempt in (2, 3, 4):
-            base = 0.1 * 2.0 ** (attempt - 2)
-            for index in range(8):
-                delay = policy.backoff_s(attempt, index)
-                # Pure function of (seed, index, attempt): same inputs,
-                # same delay, every time.
-                assert delay == again.backoff_s(attempt, index)
-                assert base * 0.75 <= delay <= base * 1.25
-        assert policy.backoff_s(1, index=5) == 0.0
-
-    def test_jitter_spreads_across_indices_and_seeds(self):
-        policy = SupervisorPolicy(backoff_base_s=0.1, backoff_jitter=1.0)
-        delays = {policy.backoff_s(2, index) for index in range(16)}
-        assert len(delays) == 16  # no two clients synchronize
-        reseeded = SupervisorPolicy(
-            backoff_base_s=0.1, backoff_jitter=1.0, jitter_seed=7
-        )
-        assert reseeded.backoff_s(2, 0) != policy.backoff_s(2, 0)
 
 
 class TestInterrupt:
@@ -188,6 +147,9 @@ class TestSerialSupervision:
         report = info.value.report
         assert [task.label for task in report.failed] == ["task-0"]
         assert report.failed[0].attempts == 2
+        # The work that finished survives, and the cause stays typed.
+        assert info.value.results == [None, 4]
+        assert isinstance(info.value.__cause__, InjectedFault)
 
     def test_best_effort_yields_none_slot(self):
         results, report = supervised_map(
@@ -262,6 +224,19 @@ class TestPoolSupervision:
         assert [d.kind for d in report.degradations] == ["task-timeout"]
 
     @pytest.mark.fault_injection
+    def test_lone_task_with_a_timeout_runs_in_the_pool(self):
+        plan = dataclasses.replace(FaultPlan.hang_at(0), hang_seconds=10.0)
+        results, report = supervised_map(
+            _double, [1],
+            workers=2,
+            policy=SupervisorPolicy(task_timeout_s=0.4),
+            fault_plan=plan,
+        )
+        assert results == [2]
+        assert report.tasks[0].attempts == 2
+        assert report.pool_restarts == 1
+
+    @pytest.mark.fault_injection
     def test_timeout_retry_exhaustion_fails_the_task(self):
         plan = dataclasses.replace(
             FaultPlan.hang_at(0, attempts=99), hang_seconds=10.0
@@ -291,7 +266,6 @@ class TestPoolSupervision:
         results, report = supervised_map(
             _double, list(range(4)),
             workers=1, use_pool=True,
-            policy=SupervisorPolicy(max_pool_rebuilds=2),
             fault_plan=plan,
         )
         assert results == [0, 2, 4, 6]
@@ -458,6 +432,41 @@ class TestSuiteRecovery:
         ]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+class TestFailedStageKeepsWork:
+    """A stage that raises still stores every profile that completed."""
+
+    def _failing(self, tmp_path, workers):
+        return SoftWatt(
+            window_instructions=WINDOW, seed=1, cache_dir=tmp_path,
+            workers=workers, retries=0, fault_plan=FaultPlan.parse("error@1x9"),
+        )
+
+    def _warm(self, tmp_path):
+        return SoftWatt(window_instructions=WINDOW, seed=1, cache_dir=tmp_path)
+
+    def test_benchmark_stage(self, tmp_path, workers):
+        names = ("jess", "db", "javac")
+        with pytest.raises(TaskExecutionError) as info:
+            self._failing(tmp_path, workers).profile_many(names)
+        assert isinstance(info.value.__cause__, InjectedFault)
+        assert [task.label for task in info.value.report.failed] == ["db"]
+        warm = self._warm(tmp_path)
+        assert set(warm.profile_many(names)) == set(names)
+        assert warm.profiler.detailed_runs == 1
+
+    def test_service_stage(self, tmp_path, workers):
+        services = ("read", "write", "utlb")
+        with pytest.raises(TaskExecutionError) as info:
+            self._failing(tmp_path, workers).service_profiles(
+                services, invocations=4
+            )
+        assert isinstance(info.value.__cause__, InjectedFault)
+        warm = self._warm(tmp_path)
+        assert set(warm.service_profiles(services, invocations=4)) == set(services)
+        assert warm.profiler.detailed_runs == 1
+
+
 class TestCLIResilience:
     def test_flags_parse(self):
         from repro.cli import build_parser
@@ -490,3 +499,30 @@ class TestCLIResilience:
         assert "pool-broken" in out
         # The identical degraded run is tolerated without --strict.
         assert main(base) == 0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_best_effort_services_prints_skipped_row(self, capsys, workers):
+        assert main(
+            ["services", "--workers", workers, "--best-effort", "--retries", "0",
+             "--fault-plan", "error@0x9", "--window", "2000",
+             "--invocations", "2", "--no-cache"]
+        ) == 0
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line for line in out.splitlines() if line}
+        assert "SKIPPED" in rows["utlb"]
+        assert "SKIPPED" not in rows["read"]
+        assert "FAILED utlb" in out
+
+    @pytest.mark.parametrize(
+        "option", [["--fault-plan", "hang@0"], ["--task-timeout", "5"]]
+    )
+    def test_uninterruptible_options_need_a_pool(
+        self, monkeypatch, capsys, option
+    ):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the options")
+
+        monkeypatch.setattr(Profiler, "profile_benchmark", simulated)
+        monkeypatch.setattr(Profiler, "profile_service", simulated)
+        assert main(["suite", "--workers", "1", "--no-cache", *option]) == 2
+        assert "--workers 2 or more" in capsys.readouterr().err
