@@ -15,12 +15,12 @@ or equivalently ``python -m repro ...``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from collections import Counter
 
 from repro.config.diskcfg import DiskPowerPolicy
 from repro.config.system import ConfigError, FidelityConfig, FidelityTier
+from repro.core.campaign import TIER_NAMES, SweepCampaign
 from repro.core.checkpoint import CheckpointError
 from repro.core.report import MODE_ORDER, BenchmarkResult
 from repro.core.softwatt import SoftWatt
@@ -63,8 +63,8 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
 
 def _add_fidelity(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fidelity",
-                        choices=("detailed", "sampled", "atomic"),
-                        default="detailed",
+                        choices=[tier.value for tier in FidelityTier],
+                        default=FidelityTier.DETAILED.value,
                         help="execution tier for the profiling stage: "
                              "detailed cycle-level cores, SMARTS-style "
                              "periodic sampling, or the atomic functional "
@@ -146,25 +146,14 @@ def _finish(softwatt: SoftWatt, args: argparse.Namespace) -> int:
     return 0
 
 
-def _fidelity_kwarg(args: argparse.Namespace):
-    """The ``fidelity`` argument for SoftWatt, or None for the default.
-
-    Returns None when the CLI asked for plain detailed execution so the
-    config stays the pristine Table 1 default (and existing cache keys
-    are untouched).
-    """
-    tier = getattr(args, "fidelity", None) or "detailed"
+def _fidelity_kwarg(args: argparse.Namespace) -> FidelityConfig:
+    """The ``fidelity`` argument for SoftWatt."""
     overrides = {
         name: value
         for name in ("sample_period", "sample_window", "warmup")
         if (value := getattr(args, name, None)) is not None
     }
-    if tier == "detailed" and not overrides:
-        return None
-    fidelity = FidelityConfig(tier=FidelityTier.parse(tier))
-    if overrides:
-        fidelity = dataclasses.replace(fidelity, **overrides)
-    return fidelity
+    return FidelityConfig(tier=FidelityTier.parse(args.fidelity), **overrides)
 
 
 def _make_softwatt(args: argparse.Namespace) -> SoftWatt:
@@ -445,8 +434,6 @@ def _parse_sweep_value(text: str, parameter: str):
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
-    from repro.core.campaign import SweepCampaign  # noqa: PLC0415
-
     try:
         values = [_parse_sweep_value(v, args.parameter) for v in args.values]
         axes = {args.parameter: values}
@@ -485,7 +472,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
             f"{tier.lower()} x{count}" for tier, count in counts.items()
         )
         print(f"tiers: {summary}")
-    if any(fidelity != "detailed" for fidelity in result.fidelities):
+    if any(fidelity != FidelityTier.DETAILED for fidelity in result.fidelities):
         counts = Counter(result.fidelities)
         summary = ", ".join(
             f"{fidelity} x{count}" for fidelity, count in counts.items()
@@ -700,8 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additional axis for a multi-parameter grid sweep "
                         "(repeatable; points are the cartesian product)")
     p.add_argument("--tier",
-                   choices=("auto", "ledger", "timeline", "full",
-                            "sampled", "atomic"),
+                   choices=("auto", *TIER_NAMES),
                    default="auto",
                    help="force every point through one tier (default: "
                         "classify each point by what it invalidates); "

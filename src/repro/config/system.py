@@ -135,7 +135,8 @@ class FidelityTier(str, enum.Enum):
     Mirrors gem5's AtomicSimpleCPU / TimingSimpleCPU / O3CPU ladder:
     every tier produces the same :class:`BenchmarkProfile` shape, so the
     timeline replay and power registry downstream are identical — only
-    how the counters and cycle totals are *obtained* changes.
+    how the counters and cycle totals are *obtained* changes.  This enum
+    is the one list of rung names; members are declared cheapest first.
 
     ``DETAILED``
         The cycle-level mipsy/mxs cores, bit-identical to the golden
@@ -147,10 +148,10 @@ class FidelityTier(str, enum.Enum):
         measured windows.  Cache/TLB/branch-predictor state stays live
         across the whole run.
     ``ATOMIC``
-        One functional streaming pass over a slice of each profiling
-        chunk — real memory hierarchy, real branch predictor, analytic
-        cycle accounting, no per-cycle pipeline modeling — extrapolated
-        to the full chunk.
+        One pass over a slice of each profiling chunk, extrapolated to
+        the full chunk: the mipsy flavour runs the Mipsy core itself on
+        the slice; the mxs flavour runs an analytic cursor model (real
+        memory hierarchy and branch predictor, no per-cycle pipeline).
     """
 
     ATOMIC = "atomic"

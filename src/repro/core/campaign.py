@@ -28,11 +28,11 @@ energies).  The tier classification table lives in
 :data:`LEDGER_LEAVES` / :data:`TIMELINE_LEAVES` and is documented in
 DESIGN.md §9.
 
-Below the structural tier sit two *fidelity rungs* (``tier="atomic"``
-or ``tier="sampled"``, see :data:`FIDELITY_RUNGS` and DESIGN.md §11):
-the point still re-simulates, but on a cheaper CPU execution tier
-(:class:`~repro.config.system.FidelityTier`), trading bounded counter
-error for an order-of-magnitude sweep speedup.  Unlike the
+Below the structural tier sit the sub-detailed *fidelity rungs* of
+:class:`~repro.config.system.FidelityTier` (``tier="atomic"``, see
+:data:`TIER_NAMES` and DESIGN.md §11): the point still re-simulates,
+but on a cheaper CPU execution tier, trading bounded counter error for
+an order-of-magnitude sweep speedup.  Unlike the
 invalidation tiers these are approximations; the chosen fidelity is
 recorded per point in :attr:`SweepResult.fidelities` and noted in the
 :class:`~repro.resilience.runreport.RunReport`, and it rides inside
@@ -85,11 +85,13 @@ TIER_BY_NAME: dict[str, Tier] = {
     "full": Tier.STRUCTURAL,
 }
 
-#: Fidelity rungs below ``full``: the point still re-simulates
-#: (structural tier), but on a cheaper CPU execution tier.  These are
-#: accepted wherever a tier name is (``tier="atomic"``), mapping to
-#: ``Tier.STRUCTURAL`` plus a campaign-wide fidelity override.
-FIDELITY_RUNGS: frozenset[str] = frozenset({"atomic", "sampled"})
+#: Every name ``tier=`` accepts: the invalidation tiers, then each
+#: sub-detailed fidelity rung, which maps to ``Tier.STRUCTURAL`` on that
+#: cheaper CPU execution tier.
+TIER_NAMES: tuple[str, ...] = (
+    *TIER_BY_NAME,
+    *(rung.value for rung in FidelityTier if rung is not FidelityTier.DETAILED),
+)
 
 #: Config leaves (dot-paths into :class:`SystemConfig`) consumed only
 #: by the power models: changing them re-prices cached counters.
@@ -184,8 +186,8 @@ class SweepResult:
     """Per-point tier names (``LEDGER``/``TIMELINE``/``STRUCTURAL``),
     parallel to ``points``; empty for legacy construction."""
     fidelities: tuple[str, ...] = ()
-    """Per-point execution fidelity (``detailed``/``sampled``/
-    ``atomic``), parallel to ``points``; empty for legacy construction."""
+    """Per-point execution fidelity (a :class:`FidelityTier` value),
+    parallel to ``points``; empty for legacy construction."""
     report: RunReport | None = None
     """Supervisor report from the structural fan-out, when one ran."""
 
@@ -316,7 +318,7 @@ class PlannedPoint:
     config: SystemConfig
     policy: DiskPowerPolicy
     tier: Tier
-    fidelity: str = "detailed"
+    fidelity: str = FidelityTier.DETAILED.value
     """CPU execution tier the point simulates at (structural points
     only; the cheap tiers reuse the detailed base profile)."""
 
@@ -347,7 +349,6 @@ class SweepCampaign:
         cache_dir=None,
         use_cache: bool = True,
         tier: Tier | str | None = None,
-        fidelity: FidelityTier | str = FidelityTier.DETAILED,
         task_timeout: float | None = None,
         retries: int = 2,
         best_effort: bool = False,
@@ -368,27 +369,19 @@ class SweepCampaign:
         self.workers = workers
         self.cache_dir = cache_dir
         self.use_cache = use_cache
+        self.fidelity = FidelityTier.DETAILED
         if isinstance(tier, str):
-            if tier in FIDELITY_RUNGS:
-                # Fidelity rung: structural everywhere, on the cheaper
-                # execution tier.  An explicit conflicting ``fidelity``
-                # kwarg would silently lose, so reject it.
-                rung = FidelityTier.parse(tier)
-                requested = FidelityTier.parse(fidelity)
-                if requested not in (FidelityTier.DETAILED, rung):
-                    raise ValueError(
-                        f"tier {tier!r} conflicts with "
-                        f"fidelity={requested.value!r}")
-                fidelity = rung
-                tier = Tier.STRUCTURAL
-            elif tier not in TIER_BY_NAME:
+            if tier not in TIER_NAMES:
                 raise ValueError(
-                    f"unknown tier {tier!r}; choose from "
-                    f"{sorted(set(TIER_BY_NAME) | FIDELITY_RUNGS)}")
-            else:
+                    f"unknown tier {tier!r}; choose from {list(TIER_NAMES)}")
+            if tier in TIER_BY_NAME:
                 tier = TIER_BY_NAME[tier]
+            else:
+                # Fidelity rung: structural everywhere, on the cheaper
+                # execution tier.
+                self.fidelity = FidelityTier(tier)
+                tier = Tier.STRUCTURAL
         self.forced_tier = tier
-        self.fidelity = FidelityTier.parse(fidelity)
         self.task_timeout = task_timeout
         self.retries = retries
         self.best_effort = best_effort
@@ -425,7 +418,7 @@ class SweepCampaign:
                     f"{self.forced_tier.name} was forced; a lower tier "
                     f"would reuse stale simulation state")
             tier = self.forced_tier
-        fidelity = "detailed"
+        fidelity = FidelityTier.DETAILED.value
         if (
             tier is Tier.STRUCTURAL
             and self.fidelity is not FidelityTier.DETAILED
@@ -621,7 +614,7 @@ class SweepCampaign:
     ) -> None:
         """Record sub-detailed simulation in the run report."""
         downgraded = sum(
-            1 for planned in plan if planned.fidelity != "detailed"
+            1 for planned in plan if planned.fidelity != FidelityTier.DETAILED
         )
         if downgraded:
             report.add_note(

@@ -44,29 +44,30 @@ from repro.workloads.specjvm98 import BenchmarkSpec
 CPU_MODELS = ("mxs", "mipsy")
 
 
-def make_cpu(model: str, config: SystemConfig, hierarchy, trap_client):
-    """Instantiate a CPU model by name."""
-    if model == "mxs":
-        return MXSProcessor(config, hierarchy, trap_client=trap_client)
-    if model == "mipsy":
-        return MipsyProcessor(config, hierarchy, trap_client=trap_client)
-    raise ValueError(f"unknown CPU model {model!r}; choose from {CPU_MODELS}")
+def make_tier_cpu(
+    model: str,
+    config: SystemConfig,
+    hierarchy,
+    trap_client,
+    *,
+    tier: FidelityTier | None = None,
+):
+    """Instantiate a CPU of flavour ``model`` at a fidelity tier.
 
-
-def make_tier_cpu(model: str, config: SystemConfig, hierarchy, trap_client):
-    """Instantiate a CPU at the fidelity tier requested by ``config``.
-
-    ``detailed`` returns the plain cycle-level core (the path stays
-    bit-identical to the golden pins); ``sampled`` wraps that core in a
-    :class:`SampledProcessor`; ``atomic`` substitutes the functional
-    :class:`AtomicProcessor` of the matching flavour.
+    The tier defaults to the one ``config`` requests.  ``detailed``
+    returns the plain cycle-level core (the path stays bit-identical to
+    the golden pins); ``sampled`` wraps that core in a
+    :class:`SampledProcessor`; ``atomic`` wraps the flavour's atomic
+    core in an :class:`AtomicProcessor`.
     """
-    tier = config.fidelity.tier
+    if model not in CPU_MODELS:
+        raise ValueError(f"unknown CPU model {model!r}; choose from {CPU_MODELS}")
+    if tier is None:
+        tier = config.fidelity.tier
     if tier is FidelityTier.ATOMIC:
-        if model not in CPU_MODELS:
-            raise ValueError(f"unknown CPU model {model!r}; choose from {CPU_MODELS}")
         return AtomicProcessor(model, config, hierarchy, trap_client)
-    cpu = make_cpu(model, config, hierarchy, trap_client)
+    core = MXSProcessor if model == "mxs" else MipsyProcessor
+    cpu = core(config, hierarchy, trap_client=trap_client)
     if tier is FidelityTier.SAMPLED:
         return SampledProcessor(cpu, config.fidelity)
     return cpu
@@ -307,7 +308,7 @@ class Profiler:
             generated = 0
             for _ in range(chunk_count):
                 chunks.append(cpu.run(stream, max_instructions=per_chunk))
-                generated += getattr(cpu, "stream_consumed", per_chunk)
+                generated += cpu.stream_consumed
             delta = {
                 name: count - seen_invocations.get(name, 0)
                 for name, count in kernel.invocations.items()
@@ -357,16 +358,11 @@ class Profiler:
         cpu = make_tier_cpu(self.cpu_model, self.config, hierarchy, None)
         # Warm pass: the idle loop's two cache lines and its code.
         cpu.run(idle_loop(64))
-        if self.config.fidelity.tier is FidelityTier.DETAILED:
-            stats = cpu.run(idle_loop(iterations))
-        else:
-            # The idle loop is a fixed six-instruction body, so the
-            # sub-detailed tiers can sample it with near-zero error;
-            # the loop length gives them an exact budget to scale to.
-            stats = cpu.run(
-                idle_loop(iterations),
-                max_instructions=iterations * IDLE_LOOP_LENGTH,
-            )
+        # The loop length gives every rung the exact budget: detailed
+        # runs all of it, the sub-detailed rungs sample it and scale.
+        stats = cpu.run(
+            idle_loop(iterations), max_instructions=iterations * IDLE_LOOP_LENGTH
+        )
         profile = IdleProfile(stats=stats)
         if default_window:
             self._idle_cache = profile
@@ -396,7 +392,9 @@ class Profiler:
         config = self.config
         hierarchy = MemoryHierarchy(config, AccessCounters())
         kernel = Kernel(config, hierarchy, seed=self.seed if seed is None else seed)
-        cpu = make_cpu(self.cpu_model, config, hierarchy, kernel)
+        cpu = make_tier_cpu(
+            self.cpu_model, config, hierarchy, kernel, tier=FidelityTier.DETAILED
+        )
         cycles: list[float] = []
         counters: list[AccessCounters] = []
         instructions: list[int] = []

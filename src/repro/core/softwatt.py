@@ -52,6 +52,7 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.runreport import ReportedMapping, RunReport
 from repro.resilience.supervisor import TaskExecutionError
 from repro.stats.postprocess import compute_power_trace
+from repro.stats.simlog import log_degradation
 from repro.workloads.specjvm98 import BENCHMARK_NAMES, BenchmarkSpec, benchmark
 
 MIPSY_SPEED_FACTOR = 2.3
@@ -389,15 +390,31 @@ class SoftWatt:
         )
 
     def _cached_service_profiles(self) -> dict[str, ServiceInvocationProfile]:
-        """Service profiles used by every timeline run (computed once)."""
-        if self._service_profiles is None:
-            report = RunReport()
-            (self._service_profiles,) = measure_services(
-                [self], workers=self.workers, report=report,
-                **self._supervision_kwargs(),
+        """Service profiles used by every timeline run.
+
+        A complete set is measured once.  Under best effort a set that
+        lacks a failed service is not kept, so the next run retries it,
+        and the run it serves records which services its timeline lacks.
+        """
+        if self._service_profiles is not None:
+            return self._service_profiles
+        report = RunReport()
+        (measured,) = measure_services(
+            [self], workers=self.workers, report=report,
+            **self._supervision_kwargs(),
+        )
+        missing = [name for name in KERNEL_SERVICES if name not in measured]
+        if missing:
+            detail = (
+                f"timeline runs without kernel service(s) "
+                f"{', '.join(missing)}: their characterisation failed"
             )
-            self.run_report.merge(report)
-        return self._service_profiles
+            report.add_degradation("service-missing", detail)
+            log_degradation(f"service-missing: {detail}")
+        else:
+            self._service_profiles = measured
+        self.run_report.merge(report)
+        return measured
 
     # ------------------------------------------------------------------
     # Checkpoints (Section 3.1 methodology)

@@ -6,44 +6,36 @@ every profiling chunk.  Measurement shows the *instruction generation*
 itself — the synthetic-code generator plus kernel interleaving — costs
 almost as much as detailed mipsy execution, so a tier that streams the
 whole chunk functionally can never be much faster than detailed.  The
-atomic tier therefore samples: it functionally executes only a leading
-*slice* of each chunk (``max(ATOMIC_MIN_SLICE, chunk //
-ATOMIC_SLICE_DIVISOR)`` instructions), then extrapolates every counter
-and cycle total to the full chunk budget via :meth:`RunStats.scaled`.
-The remaining instructions are never generated at all, which is where
-the speedup comes from.
+atomic tier therefore samples: it executes only a leading *slice* of
+each chunk (``max(ATOMIC_MIN_SLICE, chunk // ATOMIC_SLICE_DIVISOR)``
+instructions), then extrapolates every counter and cycle total to the
+full chunk budget via :meth:`RunStats.scaled`.  The remaining
+instructions are never generated at all, which is where the speedup
+comes from.
 
-Within the slice the execution is honest:
+The slice runs on one core per flavour:
 
-* every fetch and data access goes through the *real*
-  :class:`MemoryHierarchy` (so cache/TLB miss rates are measured, not
-  assumed, and machine state carries across chunks and phases exactly
-  like a detailed run),
-* TLB misses trap into the real kernel ``utlb`` handler,
-* the mxs flavour runs the real :class:`BranchPredictor`, and
-* the op-mix counters (register file, ALUs, window, LSQ, ...) follow
-  the same per-instruction bump rules as the detailed core of the same
-  flavour.
-
-What is *not* modelled is the per-cycle pipeline.  Cycle totals come
-from an analytic model instead: the mipsy flavour re-uses mipsy's exact
-closed-form per-instruction latency (so its only error versus detailed
-mipsy is sampling error), while the mxs flavour advances float-valued
-cursors for fetch/issue/commit bandwidth, functional-unit contention,
-register dependences, and window occupancy — one pass, no per-cycle
-tables.
+* the mipsy flavour runs :class:`MipsyProcessor` itself — its
+  single-issue blocking-cache latency is already a closed form, so the
+  rung's only error against detailed mipsy is slicing error;
+* the mxs flavour runs :class:`CursorMXS`, the one model this tier
+  owns: the real memory hierarchy, utlb handler and
+  :class:`BranchPredictor`, MXS's per-instruction counter-bump rules,
+  and float-valued cursors for fetch/issue/commit bandwidth,
+  functional-unit contention, register dependences and window
+  occupancy in place of MXS's per-cycle tables — one pass, no
+  pipeline walk.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from repro.config.system import SystemConfig
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.interfaces import InlineRefillClient, TrapClient
-from repro.cpu.mipsy import TAKEN_BRANCH_BUBBLE, TRAP_ENTRY_PENALTY
-from repro.cpu.mxs import (
-    FRONT_END_DEPTH,
-    TRAP_ENTRY_PENALTY as MXS_TRAP_ENTRY_PENALTY,
-)
+from repro.cpu.mipsy import MipsyProcessor
+from repro.cpu.mxs import FRONT_END_DEPTH, TRAP_ENTRY_PENALTY
 from repro.cpu.runstats import LabelStats, RunStats
 from repro.isa.instruction import Instruction, OpClass
 from repro.mem.hierarchy import MemoryHierarchy
@@ -68,27 +60,22 @@ exact and left untouched, so only the stall share is deflated.
 """
 
 
-class AtomicProcessor:
-    """Functional streaming CPU model with analytic cycle accounting.
+class CursorMXS:
+    """One-pass analytic out-of-order model of the MXS flavour.
 
-    Drop-in replacement for :class:`MipsyProcessor`/:class:`MXSProcessor`
-    in the profiler: same constructor shape, same ``run(stream, *,
-    max_instructions)`` contract, same :class:`RunStats` result.  After
-    each run :attr:`stream_consumed` reports how many instructions were
-    actually pulled from the stream (the slice), which the profiler
-    uses to rescale kernel-invocation deltas.
+    Same constructor shape and counter-bump rules as
+    :class:`MXSProcessor`, but bandwidth and contention are fractional-
+    cycle cursors instead of per-cycle reservation tables.  ``run``
+    executes the whole stream it is given; the atomic rung hands it the
+    slice.
     """
 
     def __init__(
         self,
-        cpu_model: str,
         config: SystemConfig,
         hierarchy: MemoryHierarchy | None = None,
         trap_client: TrapClient | None = None,
     ) -> None:
-        if cpu_model not in ("mxs", "mipsy"):
-            raise ValueError(f"unknown CPU model flavour {cpu_model!r}")
-        self.cpu_model = cpu_model
         self.config = config
         self.core = config.core
         self.hierarchy = (
@@ -99,24 +86,13 @@ class AtomicProcessor:
         self.trap_client: TrapClient = (
             trap_client if trap_client is not None else InlineRefillClient()
         )
-        self.predictor = (
-            BranchPredictor(config.core) if cpu_model == "mxs" else None
-        )
-        self._process = (
-            self._process_mxs if cpu_model == "mxs" else self._process_mipsy
-        )
+        self.predictor = BranchPredictor(config.core)
         self.stream_consumed = 0
         self._reset_run_state()
 
-    # ------------------------------------------------------------------
-    # Run state
-    # ------------------------------------------------------------------
-
     def _reset_run_state(self) -> None:
         core = self.core
-        # Mipsy-flavour integer cycle counter.
-        self._cycle = 0
-        # MXS-flavour analytic cursors (all in fractional cycles).
+        # Analytic cursors, all in fractional cycles.
         self._fetch_time = 0.0
         self._issue_free = 0.0
         self._int_free = 0.0
@@ -140,8 +116,7 @@ class AtomicProcessor:
         self._current_label: str | None = None
         self._label_stats: LabelStats = self._stats.label(None)
         self.hierarchy.counters = self._label_stats.counters
-        if self.predictor is not None:
-            self._branch_snapshot = self.predictor.stats.snapshot()
+        self._branch_snapshot = self.predictor.stats.snapshot()
 
     def _switch_label(self, label: str | None) -> LabelStats:
         if label != self._current_label:
@@ -149,10 +124,6 @@ class AtomicProcessor:
             self._label_stats = self._stats.label(label)
             self.hierarchy.counters = self._label_stats.counters
         return self._label_stats
-
-    # ------------------------------------------------------------------
-    # Trap handling
-    # ------------------------------------------------------------------
 
     def _take_utlb_trap(self, faulting_address: int) -> None:
         """Run the kernel utlb handler functionally, then refill."""
@@ -162,12 +133,9 @@ class AtomicProcessor:
                 "must not take TLB misses"
             )
         self._stats.traps += 1
-        if self.cpu_model == "mipsy":
-            self._cycle += TRAP_ENTRY_PENALTY
-        else:
-            drain = self._last_commit + MXS_TRAP_ENTRY_PENALTY
-            if drain > self._fetch_time:
-                self._fetch_time = drain
+        drain = self._last_commit + TRAP_ENTRY_PENALTY
+        if drain > self._fetch_time:
+            self._fetch_time = drain
         self._in_trap = True
         outer_label = self._current_label
         try:
@@ -178,84 +146,7 @@ class AtomicProcessor:
             self._switch_label(outer_label)
         self.hierarchy.tlb_refill(faulting_address)
 
-    # ------------------------------------------------------------------
-    # Mipsy flavour: exact closed-form in-order latency
-    # ------------------------------------------------------------------
-
-    def _process_mipsy(self, instr: Instruction) -> None:
-        # Mirrors MipsyProcessor._process exactly — the single-issue
-        # blocking-cache latency is already a closed form, so the only
-        # atomic-tier error on mipsy is slice-sampling error.
-        if instr.service != self._current_label:
-            self._switch_label(instr.service)
-        label_stats = self._label_stats
-        counters = label_stats.counters
-        start_cycle = self._cycle
-
-        fetch_result = self.hierarchy.fetch(instr.pc)
-        if fetch_result.tlb_miss:
-            self._take_utlb_trap(instr.pc)
-            label_stats = self._switch_label(instr.service)
-            counters = label_stats.counters
-            start_cycle = self._cycle
-            fetch_result = self.hierarchy.fetch(instr.pc)
-            if fetch_result.tlb_miss:
-                raise RuntimeError(f"TLB refill for pc {instr.pc:#x} did not stick")
-        self._cycle += 1 + fetch_result.latency
-
-        op = instr.op
-        extra = op.extra_latency
-        if extra > 0:
-            self._cycle += extra
-        if op.is_mem:
-            write = op is OpClass.STORE
-            access = self.hierarchy.data_access(instr.address, write=write)
-            if access.tlb_miss:
-                self._take_utlb_trap(instr.address)
-                label_stats = self._switch_label(instr.service)
-                counters = label_stats.counters
-                access = self.hierarchy.data_access(instr.address, write=write)
-                if access.tlb_miss:
-                    raise RuntimeError(
-                        f"TLB refill for address {instr.address:#x} did not stick"
-                    )
-            if op is not OpClass.STORE:
-                self._cycle += access.latency + self.config.l1d.latency_cycles
-            if op is OpClass.LOAD:
-                counters.loads += 1
-            elif op is OpClass.STORE:
-                counters.stores += 1
-
-        if op is OpClass.BRANCH:
-            counters.branches += 1
-        if op.is_ctrl and instr.taken:
-            self._cycle += TAKEN_BRANCH_BUBBLE
-
-        counters.regfile_read += len(instr.srcs)
-        if op is OpClass.IMUL:
-            counters.imul_access += 1
-        elif op is OpClass.FMUL:
-            counters.fmul_access += 1
-        elif op.is_float:
-            counters.falu_access += 1
-        else:
-            counters.ialu_access += 1
-        if instr.dest:
-            counters.regfile_write += 1
-            counters.resultbus_access += 1
-
-        gap = self._cycle - start_cycle
-        label_stats.cycles += gap
-        label_stats.instructions += 1
-        label_stats.instr_cycles += 1.0
-        label_stats.stall_cycles += gap - 1.0
-        self._stats.instructions += 1
-
-    # ------------------------------------------------------------------
-    # MXS flavour: one-pass analytic out-of-order model
-    # ------------------------------------------------------------------
-
-    def _process_mxs(self, instr: Instruction) -> None:
+    def _process(self, instr: Instruction) -> None:
         # Same counter-bump rules and structural constraints as
         # MXSProcessor._process, but bandwidth and contention are
         # approximated by fractional-cycle cursors instead of per-cycle
@@ -453,9 +344,51 @@ class AtomicProcessor:
             label_stats.instr_cycles += gap
         self._stats.instructions += 1
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
+    def run(self, stream) -> RunStats:
+        """Execute all of ``stream``; cycle totals are calibrated."""
+        self._reset_run_state()
+        process = self._process
+        consumed = 0
+        for consumed, instr in enumerate(stream, 1):
+            process(instr)
+        self.stream_consumed = consumed
+        stats = self._stats
+        calibration = ATOMIC_MXS_CYCLE_CALIBRATION
+        stats.cycles = round(self._last_commit * calibration)
+        for bucket in stats.labels.values():
+            bucket.cycles *= calibration
+            stall = bucket.cycles - bucket.instr_cycles
+            bucket.stall_cycles = stall if stall > 0.0 else 0.0
+        stats.branch = self.predictor.stats.since(self._branch_snapshot)
+        return stats
+
+
+class AtomicProcessor:
+    """Slice-and-scale wrapper around the atomic core of one flavour.
+
+    Drop-in replacement for :class:`MipsyProcessor`/:class:`MXSProcessor`
+    in the profiler: same ``run(stream, *, max_instructions)`` contract,
+    same :class:`RunStats` result.  After each run
+    :attr:`stream_consumed` reports how many instructions were pulled
+    from the stream (the slice), which the profiler uses to rescale
+    kernel-invocation deltas.
+    """
+
+    def __init__(
+        self,
+        cpu_model: str,
+        config: SystemConfig,
+        hierarchy: MemoryHierarchy | None = None,
+        trap_client: TrapClient | None = None,
+    ) -> None:
+        if cpu_model == "mipsy":
+            self.cpu = MipsyProcessor(config, hierarchy, trap_client)
+        elif cpu_model == "mxs":
+            self.cpu = CursorMXS(config, hierarchy, trap_client)
+        else:
+            raise ValueError(f"unknown CPU model flavour {cpu_model!r}")
+        self.stream_consumed = 0
+        self._stats = RunStats()
 
     def run(
         self,
@@ -465,48 +398,24 @@ class AtomicProcessor:
     ) -> RunStats:
         """Execute a slice of ``stream`` and extrapolate to the budget.
 
-        Without ``max_instructions`` the entire stream is executed
-        functionally (no extrapolation).  With a budget, only the
-        leading slice is pulled from the stream; the returned RunStats
-        is scaled so cycle totals, counters, and trap counts represent
-        the full budget.  Handler instructions injected by traps do not
-        count against the slice, mirroring the detailed cores.
+        Without ``max_instructions`` the entire stream is executed (no
+        extrapolation).  With a budget, only the leading slice is pulled
+        from the stream; the returned RunStats is scaled so cycle
+        totals, counters, and trap counts represent the full budget.
+        Handler instructions injected by traps do not count against the
+        slice, mirroring the detailed cores.
         """
-        self._reset_run_state()
-        process = self._process
-        executed = 0
-        if max_instructions is None:
-            for instr in stream:
-                process(instr)
-                executed += 1
-            budget = executed
-        else:
-            budget = max_instructions
+        if max_instructions is not None:
             slice_n = min(
-                budget, max(ATOMIC_MIN_SLICE, budget // ATOMIC_SLICE_DIVISOR)
+                max_instructions,
+                max(ATOMIC_MIN_SLICE, max_instructions // ATOMIC_SLICE_DIVISOR),
             )
-            iterator = iter(stream)
-            while executed < slice_n:
-                instr = next(iterator, None)
-                if instr is None:
-                    break
-                process(instr)
-                executed += 1
-        self.stream_consumed = executed
-        stats = self._stats
-        if self.cpu_model == "mipsy":
-            stats.cycles = self._cycle
-        else:
-            calibration = ATOMIC_MXS_CYCLE_CALIBRATION
-            stats.cycles = round(self._last_commit * calibration)
-            for bucket in stats.labels.values():
-                bucket.cycles *= calibration
-                stall = bucket.cycles - bucket.instr_cycles
-                bucket.stall_cycles = stall if stall > 0.0 else 0.0
-            stats.branch = self.predictor.stats.since(self._branch_snapshot)
-        if executed and budget > executed:
-            stats = stats.scaled(budget / executed)
-            self._stats = stats
+            stream = itertools.islice(stream, slice_n)
+        stats = self.cpu.run(stream)
+        executed = self.stream_consumed = self.cpu.stream_consumed
+        if executed and max_instructions is not None and max_instructions > executed:
+            stats = stats.scaled(max_instructions / executed)
+        self._stats = stats
         return stats
 
     @property

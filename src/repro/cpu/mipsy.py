@@ -51,6 +51,7 @@ class MipsyProcessor:
         self.trap_client: TrapClient = (
             trap_client if trap_client is not None else InlineRefillClient()
         )
+        self.stream_consumed = 0
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
@@ -165,11 +166,17 @@ class MipsyProcessor:
         *,
         max_instructions: int | None = None,
     ) -> RunStats:
-        """Execute ``stream`` and return the run statistics."""
+        """Execute ``stream`` and return the run statistics.
+
+        Stops when ``stream`` is exhausted or after ``max_instructions``
+        of its instructions; :attr:`stream_consumed` then counts them
+        (trap-handler instructions excluded).
+        """
         self._reset_run_state()
         process = self._process
+        consumed = 0
         if max_instructions is None:
-            for instr in stream:
+            for consumed, instr in enumerate(stream, 1):
                 process(instr)
         else:
             remaining = max_instructions
@@ -178,6 +185,8 @@ class MipsyProcessor:
                     break
                 process(instr)
                 remaining -= 1
+            consumed = max_instructions - remaining
+        self.stream_consumed = consumed
         self._stats.cycles = self._cycle
         return self._stats
 

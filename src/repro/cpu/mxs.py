@@ -72,6 +72,7 @@ class MXSProcessor:
         self.trap_client: TrapClient = (
             trap_client if trap_client is not None else InlineRefillClient()
         )
+        self.stream_consumed = 0
         self._reset_run_state()
 
     # ------------------------------------------------------------------
@@ -451,11 +452,13 @@ class MXSProcessor:
         it is exhausted or after ``max_instructions`` instructions
         (handler instructions injected by traps do not count against
         the limit, mirroring how SimOS attributes them to the kernel).
+        :attr:`stream_consumed` then counts the stream's instructions.
         """
         self._reset_run_state()
         process = self._process
+        consumed = 0
         if max_instructions is None:
-            for instr in stream:
+            for consumed, instr in enumerate(stream, 1):
                 process(instr)
         else:
             remaining = max_instructions
@@ -464,6 +467,8 @@ class MXSProcessor:
                     break
                 process(instr)
                 remaining -= 1
+            consumed = max_instructions - remaining
+        self.stream_consumed = consumed
         self._stats.cycles = self._last_commit
         self._stats.branch = self.predictor.stats
         return self._stats

@@ -34,8 +34,9 @@ class SampledProcessor:
 
     Same ``run(stream, *, max_instructions)`` contract as the cores it
     wraps; :attr:`stream_consumed` reports how many instructions were
-    actually generated (warmup + measured), which the profiler uses to
-    rescale kernel-invocation deltas.
+    pulled from the stream (warmup + measured, trap-handler instructions
+    excluded), which the profiler uses to rescale kernel-invocation
+    deltas.
     """
 
     def __init__(self, cpu, fidelity: FidelityConfig) -> None:
@@ -69,7 +70,7 @@ class SampledProcessor:
             # Unbounded streams (idle warm passes, service bodies) run
             # fully detailed: there is no budget to extrapolate to.
             stats = cpu.run(stream)
-            self.stream_consumed = stats.instructions
+            self.stream_consumed = cpu.stream_consumed
             return stats
 
         fidelity = self.fidelity
@@ -92,19 +93,19 @@ class SampledProcessor:
                 stats = self._measured(
                     cpu.run(stream, max_instructions=budget), snapshot
                 )
-                exhausted = stats.instructions < budget
+                exhausted = cpu.stream_consumed < budget
             else:
                 if warmup:
-                    warm = cpu.run(stream, max_instructions=warmup)
-                    consumed += warm.instructions
-                    if warm.instructions < warmup:
+                    cpu.run(stream, max_instructions=warmup)
+                    consumed += cpu.stream_consumed
+                    if cpu.stream_consumed < warmup:
                         break
                 snapshot = predictor.stats.snapshot() if predictor else None
                 stats = self._measured(
                     cpu.run(stream, max_instructions=window), snapshot
                 )
-                exhausted = stats.instructions < window
-            consumed += stats.instructions
+                exhausted = cpu.stream_consumed < window
+            consumed += cpu.stream_consumed
             measured_instructions += stats.instructions
             merged = stats if merged is None else merged.merged(stats)
             remaining -= budget

@@ -42,8 +42,9 @@ class Degradation:
 
     kind: str
     """Stable machine-readable category: ``pool-broken``,
-    ``pool-unavailable``, ``task-timeout``, ``serial-fallback``,
-    ``task-failed``, ``cache-quarantine``."""
+    ``pool-unavailable``, ``task-timeout``, ``timeout-unenforced``,
+    ``serial-fallback``, ``task-failed``, ``cache-quarantine``,
+    ``service-missing``."""
 
     detail: str
     """Human-readable description of what happened."""

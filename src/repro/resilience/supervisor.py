@@ -85,7 +85,9 @@ class SupervisorPolicy:
 
     task_timeout_s: float | None = None
     """Wall-clock budget per task attempt (pool mode only; a serial
-    in-process task cannot be interrupted).  None disables timeouts."""
+    in-process task cannot be interrupted, so a serial run records a
+    ``timeout-unenforced`` degradation instead).  None disables
+    timeouts."""
 
     retries: int = 2
     """Re-executions allowed per task after its first attempt."""
@@ -426,6 +428,13 @@ def supervised_map(
     pool_wanted = (requested > 1) if use_pool is None else use_pool
     if not pool_wanted or (len(items) <= 1 and policy.task_timeout_s is None):
         state.report.effective_workers = 1
+        if items and policy.task_timeout_s is not None:
+            state.degrade(
+                "timeout-unenforced",
+                f"task timeout of {policy.task_timeout_s:g}s not enforced: "
+                f"{len(items)} task(s) ran in-process, which only a worker "
+                f"pool can interrupt",
+            )
         state.dispatch(state.run_serial, range(len(items)))
         return state.finish()
     try:

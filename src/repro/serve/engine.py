@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.config.system import FidelityTier
 from repro.core.campaign import SweepCampaign
 from repro.core.report import BenchmarkResult
 from repro.core.softwatt import SoftWatt
@@ -47,9 +48,9 @@ from repro.resilience.faults import (
 from repro.serve.breaker import CircuitBreaker
 from repro.workloads.specjvm98 import BENCHMARK_NAMES
 
-DETAILED = "detailed"
 LEDGER_ONLY = "ledger"
-FIDELITY_RUNGS = (DETAILED, "sampled", "atomic")
+_LADDER = tuple(tier.value for tier in reversed(FidelityTier))
+"""Fidelity rungs from the most to the least expensive."""
 
 _SHARED_FIELDS = {
     "benchmark": str,
@@ -124,7 +125,7 @@ class EstimateRequest:
     benchmark: str
     disk: int = 1
     cpu_model: str = "mxs"
-    fidelity: str = DETAILED
+    fidelity: str = FidelityTier.DETAILED.value
     deadline_s: float | None = None
     idle_policy: str = "busywait"
     index: int = -1
@@ -135,11 +136,9 @@ class EstimateRequest:
     def from_payload(cls, payload: object, *, index: int = -1) -> "EstimateRequest":
         payload = _typed_fields(payload, _RUN_FIELDS)
         shared = _shared_values(payload, disk=1)
-        fidelity = payload.get("fidelity", DETAILED)
-        if fidelity not in FIDELITY_RUNGS:
-            raise RequestError(
-                f"fidelity must be one of {', '.join(FIDELITY_RUNGS)}"
-            )
+        fidelity = payload.get("fidelity", FidelityTier.DETAILED.value)
+        if fidelity not in _LADDER:
+            raise RequestError(f"fidelity must be one of {', '.join(_LADDER)}")
         idle_policy = payload.get("idle_policy", "busywait")
         if idle_policy not in ("busywait", "halt"):
             raise RequestError("idle_policy must be 'busywait' or 'halt'")
@@ -187,7 +186,7 @@ class EstimationEngine:
         cache_dir=None,
         use_cache: bool = True,
         breaker: CircuitBreaker | None = None,
-        degrade_ladder: tuple[str, ...] = ("sampled", "atomic"),
+        degrade_ladder: tuple[str, ...] = _LADDER[1:],
         default_deadline_s: float | None = None,
         retries: int = 2,
         fault_plan: ServeFaultPlan | None = None,
@@ -195,10 +194,10 @@ class EstimationEngine:
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         for rung in degrade_ladder:
-            if rung not in FIDELITY_RUNGS or rung == DETAILED:
+            if rung not in _LADDER[1:]:
                 raise ValueError(
                     f"degrade ladder rung {rung!r} must be a sub-detailed "
-                    f"fidelity ({', '.join(FIDELITY_RUNGS[1:])})"
+                    f"fidelity ({', '.join(_LADDER[1:])})"
                 )
         self.window_instructions = window_instructions
         self.seed = seed
@@ -244,9 +243,7 @@ class EstimationEngine:
                         cache_dir=self.cache_dir,
                         use_cache=self.use_cache,
                         retries=self.retries,
-                        # Detailed instances get a pristine config so
-                        # cache keys match offline runs exactly.
-                        fidelity=None if fidelity == DETAILED else fidelity,
+                        fidelity=fidelity,
                     )
                 )
                 self._instances[key] = instance
@@ -310,7 +307,7 @@ class EstimationEngine:
                 # a pool-kill takes down exactly the guarded tier.
                 if action == SLOW_REQUEST:
                     self._sleep(self.fault_plan.slow_seconds)
-                if action == POOL_KILL and fidelity == DETAILED:
+                if action == POOL_KILL and fidelity == FidelityTier.DETAILED:
                     raise InjectedFault(
                         f"injected pool-kill at request {request.index}"
                     )
@@ -353,10 +350,10 @@ class EstimationEngine:
 
         rungs = [request.fidelity]
         for rung in self.degrade_ladder:
-            if FIDELITY_RUNGS.index(rung) > FIDELITY_RUNGS.index(request.fidelity):
+            if _LADDER.index(rung) > _LADDER.index(request.fidelity):
                 rungs.append(rung)
         degradations: list[dict] = []
-        wants_detailed = request.fidelity == DETAILED
+        wants_detailed = request.fidelity == FidelityTier.DETAILED
         if wants_detailed and not self.breaker.allow():
             rungs = rungs[1:]
             degradations.append(
@@ -388,7 +385,7 @@ class EstimationEngine:
                     started=started,
                 )
             attempts += 1
-            guarded = rung == DETAILED
+            guarded = rung == FidelityTier.DETAILED
             try:
                 result = self._execute(request, rung, remaining)
             except Exception as error:  # noqa: BLE001 - degraded + reported

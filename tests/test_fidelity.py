@@ -4,8 +4,8 @@ Three properties pin the tiers:
 
 * **determinism** — same seed, same tier, same counters, for both CPU
   flavours;
-* **bounded error** — over the whole suite the sampled tier stays
-  within 2% of detailed total energy and the atomic tier within 10%
+* **bounded error** — over the whole suite each rung stays within its
+  published bound of detailed total energy, per CPU flavour and window
   (the ``fidelity`` marker tags the suite-wide sweeps);
 * **isolation** — the detailed path is byte-identical to the
   pre-fidelity code (the golden pins enforce the energies; here we
@@ -15,6 +15,7 @@ Three properties pin the tiers:
 """
 
 import dataclasses
+import itertools
 import pickle
 
 import pytest
@@ -28,10 +29,13 @@ from repro.config.system import (
 )
 from repro.core import profiles
 from repro.core.checkpoint import profile_cache_key
-from repro.core.profiles import Profiler, make_cpu, make_tier_cpu
+from repro.core.profiles import Profiler, make_tier_cpu
 from repro.core.softwatt import SoftWatt
-from repro.cpu.atomic import AtomicProcessor
+from repro.cpu import MipsyProcessor, MXSProcessor
+from repro.cpu.atomic import AtomicProcessor, CursorMXS
 from repro.cpu.sampled import SampledProcessor
+from repro.isa import CodeSignature, SyntheticCodeGenerator
+from repro.kernel import Kernel
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.stats.counters import AccessCounters
 from repro.workloads.specjvm98 import BENCHMARK_NAMES, benchmark
@@ -91,7 +95,7 @@ class TestTierPlumbing:
         config = SystemConfig.table1()
         hierarchy = MemoryHierarchy(config, AccessCounters())
         cpu = make_tier_cpu(model, config, hierarchy, None)
-        assert type(cpu) is type(make_cpu(model, config, hierarchy, None))
+        assert type(cpu) is {"mipsy": MipsyProcessor, "mxs": MXSProcessor}[model]
 
     @pytest.mark.parametrize("model", ["mipsy", "mxs"])
     def test_sub_detailed_wrappers(self, model):
@@ -102,6 +106,16 @@ class TestTierPlumbing:
             assert isinstance(
                 make_tier_cpu(model, config, hierarchy, None), kind
             )
+
+    @pytest.mark.parametrize(
+        "model, core", [("mipsy", MipsyProcessor), ("mxs", CursorMXS)]
+    )
+    def test_atomic_runs_one_core_per_flavour(self, model, core):
+        config = _config("atomic")
+        hierarchy = MemoryHierarchy(config, AccessCounters())
+        cpu = make_tier_cpu(model, config, hierarchy, None)
+        assert type(cpu.cpu) is core
+        assert cpu.cpu.hierarchy is hierarchy
 
     def test_softwatt_fidelity_kwarg(self):
         sw = SoftWatt(fidelity="atomic", use_cache=False)
@@ -131,14 +145,47 @@ class TestDeterminism:
         assert pickle.dumps(profile()) == pickle.dumps(profile())
 
 
+def _trapping_stream(length: int) -> list:
+    """A finite user stream over a large footprint: it takes TLB traps."""
+    sig = CodeSignature(name="t", data_footprint_bytes=8 << 20,
+                        temporal_locality=0.2)
+    return list(itertools.islice(SyntheticCodeGenerator(sig, seed=2), length))
+
+
+class TestStreamConsumed:
+    """``stream_consumed`` counts what a rung pulls from the stream,
+    never the trap-handler instructions its core runs in between."""
+
+    LENGTH = 1000
+
+    def _run(self, tier, model, budget):
+        config = _config(tier)
+        hierarchy = MemoryHierarchy(config, AccessCounters())
+        kernel = Kernel(config, hierarchy)
+        cpu = make_tier_cpu(model, config, hierarchy, kernel)
+        stream = _trapping_stream(self.LENGTH)
+        return cpu, cpu.run(iter(stream), max_instructions=budget)
+
+    @pytest.mark.parametrize("model", ["mipsy", "mxs"])
+    @pytest.mark.parametrize("tier, budget", [
+        ("sampled", None), ("sampled", LENGTH), ("atomic", None),
+    ])
+    def test_whole_stream_counts_its_length(self, tier, model, budget):
+        cpu, stats = self._run(tier, model, budget)
+        assert stats.traps > 0
+        assert stats.instructions > self.LENGTH
+        assert cpu.stream_consumed == self.LENGTH
+
+
 @pytest.mark.fidelity
 class TestErrorBounds:
-    """Suite-wide energy error gates.
+    """Suite-wide energy error gates, per CPU flavour and window.
 
-    Window 6000 keeps the sweep fast; the bounds hold with more margin
-    at full-size windows.
+    Mipsy at window 6000 keeps the sweep fast; its bounds hold with
+    more margin at full-size windows.
     """
 
+    CPU_MODEL = "mipsy"
     WINDOW = 6000
     LIMITS = {"sampled": 0.02, "atomic": 0.10}
 
@@ -147,7 +194,7 @@ class TestErrorBounds:
         energies = {}
         for tier in ("detailed", "sampled", "atomic"):
             sw = SoftWatt(
-                cpu_model="mipsy", window_instructions=self.WINDOW,
+                cpu_model=self.CPU_MODEL, window_instructions=self.WINDOW,
                 seed=1, use_cache=False, fidelity=tier,
             )
             energies[tier] = {
@@ -166,6 +213,16 @@ class TestErrorBounds:
             assert error <= self.LIMITS[tier], (
                 f"{tier} tier off by {error:.2%} on {name}"
             )
+
+
+class TestMxsErrorBounds(TestErrorBounds):
+    """The mxs bounds hold at window 40 000, the default of ``repro run``
+    and ``repro serve``; smaller windows break them (README's fidelity
+    table gives the numbers)."""
+
+    CPU_MODEL = "mxs"
+    WINDOW = 40_000
+    LIMITS = {"sampled": 0.05, "atomic": 0.10}
 
 
 @pytest.mark.fidelity
@@ -187,8 +244,8 @@ class TestRungWork:
     def test_represented_over_generated(self, monkeypatch, tier):
         work = {"represented": 0, "generated": 0}
 
-        def counting_tier_cpu(*args):
-            cpu = make_tier_cpu(*args)
+        def counting_tier_cpu(*args, **kwargs):
+            cpu = make_tier_cpu(*args, **kwargs)
             run = cpu.run
 
             def bounded_run(stream, *, max_instructions=None):

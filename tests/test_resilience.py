@@ -161,6 +161,14 @@ class TestSerialSupervision:
         assert [task.status for task in report.tasks] == ["failed", "ok"]
         assert any(d.kind == "task-failed" for d in report.degradations)
 
+    def test_timeout_in_process_is_reported_unenforced(self):
+        results, report = supervised_map(
+            _double, [1, 2], policy=SupervisorPolicy(task_timeout_s=0.5)
+        )
+        assert results == [2, 4]
+        assert [d.kind for d in report.degradations] == ["timeout-unenforced"]
+        assert any("timeout-unenforced" in m for m in recent_degradations())
+
     def test_crash_fault_raises_in_process(self):
         # A crash fault must never kill the supervising process itself.
         results, report = supervised_map(
@@ -430,6 +438,36 @@ class TestSuiteRecovery:
         assert [task.status for task in results.report.tasks] == [
             "failed", "ok"
         ]
+
+
+class TestBestEffortServices:
+    """A best-effort run whose service characterisation failed says
+    which services its timeline ran without, and does not keep the
+    incomplete set: the next run characterises again."""
+
+    def test_missing_service_is_reported_then_retried(self):
+        softwatt = SoftWatt(
+            window_instructions=2000, seed=1, use_cache=False,
+            best_effort=True, retries=0,
+            fault_plan=FaultPlan.parse("error@1x9"),
+        )
+        degraded = softwatt.run("jess").total_energy_j
+        missing = [
+            d for d in softwatt.run_report.degradations
+            if d.kind == "service-missing"
+        ]
+        assert len(missing) == 1 and "read" in missing[0].detail
+        assert any("service-missing" in m for m in recent_degradations())
+        softwatt.fault_plan = None
+        clean = SoftWatt(window_instructions=2000, seed=1, use_cache=False)
+        assert softwatt.run("jess").total_energy_j == (
+            clean.run("jess").total_energy_j
+        )
+        assert degraded != clean.run("jess").total_energy_j
+        assert len([
+            d for d in softwatt.run_report.degradations
+            if d.kind == "service-missing"
+        ]) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])

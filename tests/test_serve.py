@@ -304,6 +304,20 @@ class TestDegradation:
         bad = engine.sweep({"parameter": "nonsense", "values": [1]})
         assert bad["status"] == 400
 
+    def test_sweep_deadline_at_one_worker_is_reported(self, cache_dir):
+        # One worker runs the structural point in-process, where the
+        # deadline cannot interrupt it: the reply must say so.
+        engine = make_engine(cache_dir)
+        reply = engine.sweep(
+            {"parameter": "l1_size", "values": [16384], "deadline_s": 600}
+        )
+        assert reply["status"] == 200
+        kinds = [
+            event["kind"]
+            for event in reply["sweep"]["run_report"]["degradations"]
+        ]
+        assert "timeout-unenforced" in kinds
+
 
 class TestSweepValidation:
     """/sweep checks the fields it shares with /run exactly as /run
