@@ -10,15 +10,15 @@ including the disk, which no CPU-only simulator would show moving.
     python examples/design_space_exploration.py
 """
 
-from repro.core.campaign import sweep_parameter, sweep_spindown_threshold
+from repro.core.campaign import SPINDOWN_PARAMETER, SweepCampaign
 
 KB = 1024
 
 
 def main() -> None:
     print("L1 cache size (jess, IDLE-capable disk):")
-    l1 = sweep_parameter("l1_size", [8 * KB, 16 * KB, 32 * KB, 64 * KB],
-                         benchmark="jess")
+    l1 = SweepCampaign(benchmark="jess").run(
+        "l1_size", [8 * KB, 16 * KB, 32 * KB, 64 * KB])
     print(l1.format())
     for point in l1.points:
         print(f"    {point.value // KB:3d} KB: L1I share "
@@ -27,7 +27,7 @@ def main() -> None:
     print()
 
     print("Issue width (db, conventional disk):")
-    width = sweep_parameter("issue_width", [1, 2, 4], benchmark="db", disk=1)
+    width = SweepCampaign(benchmark="db", disk=1).run("issue_width", [1, 2, 4])
     print(width.format())
     narrow, _, wide = width.points
     print(f"    narrowing 4 -> 1 moves the disk share from "
@@ -36,7 +36,7 @@ def main() -> None:
           f"punishes slow CPUs.\n")
 
     print("TLB reach (javac):")
-    tlb = sweep_parameter("tlb_entries", [16, 64, 256], benchmark="javac")
+    tlb = SweepCampaign(benchmark="javac").run("tlb_entries", [16, 64, 256])
     print(tlb.format())
     for point in tlb.points:
         print(f"    {point.value:3d} entries: kernel share "
@@ -45,7 +45,8 @@ def main() -> None:
           "directly sets the utlb trap rate.\n")
 
     print("Disk spin-down threshold (compress):")
-    spin = sweep_spindown_threshold([1.0, 2.0, 3.0, 4.0, 8.0])
+    spin = SweepCampaign(benchmark="compress").run(
+        SPINDOWN_PARAMETER, [1.0, 2.0, 3.0, 4.0, 8.0])
     print(spin.format())
     best = spin.best_by_energy()
     print(f"    energy optimum at {best.value:.0f} s — anything below the "

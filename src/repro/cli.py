@@ -466,12 +466,11 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(result.format())
-    if result.tiers:
-        counts = Counter(result.tiers)
-        summary = ", ".join(
-            f"{tier.lower()} x{count}" for tier, count in counts.items()
-        )
-        print(f"tiers: {summary}")
+    counts = Counter(result.tiers)
+    summary = ", ".join(
+        f"{tier.lower()} x{count}" for tier, count in counts.items()
+    )
+    print(f"tiers: {summary}")
     if any(fidelity != FidelityTier.DETAILED for fidelity in result.fidelities):
         counts = Counter(result.fidelities)
         summary = ", ".join(
@@ -481,7 +480,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     best = result.best_by_edp()
     print(f"best EDP at {result.parameter}={best.value}: "
           f"{best.energy_delay_product:.1f} Js")
-    if result.report is not None and result.report.degraded:
+    if result.report.degraded:
         print()
         print(result.report.summary())
         if getattr(args, "strict", False):

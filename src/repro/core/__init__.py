@@ -5,9 +5,6 @@ from repro.core.campaign import (
     SweepPoint,
     SweepResult,
     Tier,
-    sweep_grid,
-    sweep_parameter,
-    sweep_spindown_threshold,
 )
 from repro.core.profiles import (
     BenchmarkProfile,
@@ -52,9 +49,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "Tier",
-    "sweep_grid",
-    "sweep_parameter",
-    "sweep_spindown_threshold",
     "TimelineResult",
     "TimelineSimulator",
     "disk_power_series",

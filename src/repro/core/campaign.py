@@ -13,9 +13,9 @@ changes *invalidate* and dispatches to the cheapest sufficient tier:
   :class:`~repro.power.processor.ProcessorPowerModel`.  No
   re-simulation; milliseconds per point.
 * **Tier T (timeline)** — disk-policy and timeline-only parameters
-  (spin-down threshold, clock frequency).  The shared detailed profile
-  is replayed through a fresh
-  :class:`~repro.core.timeline.TimelineSimulator`.
+  (spin-down threshold, clock frequency).  :meth:`SoftWatt.run` at the
+  point's configuration replays the base instance's detailed profile
+  and kernel-service profiles.
 * **Tier S (structural)** — anything else (cache geometry, window
   size, issue width...).  Full detailed simulation, optionally fanned
   out across processes under the :mod:`repro.resilience` supervisor
@@ -42,6 +42,7 @@ out of detailed caches.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import functools
@@ -51,8 +52,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from repro.config.diskcfg import DiskPowerPolicy, disk_configuration
 from repro.config.system import CacheConfig, FidelityTier, SystemConfig
 from repro.core.report import BenchmarkResult
-from repro.core.softwatt import SoftWatt, share_timeline_services, speed_factor
-from repro.core.timeline import TimelineSimulator, disk_power_series
+from repro.core.softwatt import SoftWatt, share_timeline_services
+from repro.core.timeline import disk_power_series
 from repro.kernel.modes import ExecutionMode
 from repro.parallel import parallel_map
 from repro.power.processor import ProcessorPowerModel
@@ -182,14 +183,14 @@ class SweepResult:
     parameter: str
     benchmark: str
     points: list[SweepPoint]
-    tiers: tuple[str, ...] = ()
+    tiers: tuple[str, ...]
     """Per-point tier names (``LEDGER``/``TIMELINE``/``STRUCTURAL``),
-    parallel to ``points``; empty for legacy construction."""
-    fidelities: tuple[str, ...] = ()
+    parallel to ``points``."""
+    fidelities: tuple[str, ...]
     """Per-point execution fidelity (a :class:`FidelityTier` value),
-    parallel to ``points``; empty for legacy construction."""
-    report: RunReport | None = None
-    """Supervisor report from the structural fan-out, when one ran."""
+    parallel to ``points``."""
+    report: RunReport
+    """Supervisor report of every stage the sweep ran."""
 
     def best_by_energy(self) -> SweepPoint:
         """The design point with the lowest total energy."""
@@ -219,7 +220,7 @@ class SweepResult:
                 }
                 for point in self.points
             ],
-            "run_report": self.report.to_dict() if self.report else None,
+            "run_report": self.report.to_dict(),
         }
 
     def format(self) -> str:
@@ -309,6 +310,19 @@ def _spindown_policy(threshold: float) -> DiskPowerPolicy:
                            spindown_threshold_s=threshold)
 
 
+def _resolve_transform(
+    parameter: str, transform: ConfigTransform | None
+) -> ConfigTransform | None:
+    """The config transform for an axis (None = disk-policy axis)."""
+    if transform is not None or parameter == SPINDOWN_PARAMETER:
+        return transform
+    if parameter not in PARAMETERS:
+        raise ValueError(
+            f"unknown parameter {parameter!r}; built-ins: "
+            f"{sorted(PARAMETERS) + [SPINDOWN_PARAMETER]}")
+    return PARAMETERS[parameter]
+
+
 @dataclasses.dataclass(frozen=True)
 class PlannedPoint:
     """One design point, classified and ready to dispatch."""
@@ -318,9 +332,13 @@ class PlannedPoint:
     config: SystemConfig
     policy: DiskPowerPolicy
     tier: Tier
-    fidelity: str = FidelityTier.DETAILED.value
-    """CPU execution tier the point simulates at (structural points
-    only; the cheap tiers reuse the detailed base profile)."""
+
+    @property
+    def fidelity(self) -> str:
+        """The CPU execution tier behind the point's counters (a
+        :class:`FidelityTier` value): the cheap tiers reuse the base
+        profile, so they report the base's rung."""
+        return self.config.fidelity.tier.value
 
 
 class SweepCampaign:
@@ -394,20 +412,6 @@ class SweepCampaign:
     # Planning
     # ------------------------------------------------------------------
 
-    def _resolve_transform(
-        self, parameter: str, transform: ConfigTransform | None
-    ) -> ConfigTransform | None:
-        """The config transform for an axis (None = disk-policy axis)."""
-        if parameter == SPINDOWN_PARAMETER and transform is None:
-            return None
-        if transform is None:
-            if parameter not in PARAMETERS:
-                raise ValueError(
-                    f"unknown parameter {parameter!r}; built-ins: "
-                    f"{sorted(PARAMETERS) + [SPINDOWN_PARAMETER]}")
-            transform = PARAMETERS[parameter]
-        return transform
-
     def _classified(self, value, label, config, policy) -> PlannedPoint:
         policy_changed = policy != self.base_policy
         tier = classify(self.base_config, config, policy_changed=policy_changed)
@@ -418,7 +422,6 @@ class SweepCampaign:
                     f"{self.forced_tier.name} was forced; a lower tier "
                     f"would reuse stale simulation state")
             tier = self.forced_tier
-        fidelity = FidelityTier.DETAILED.value
         if (
             tier is Tier.STRUCTURAL
             and self.fidelity is not FidelityTier.DETAILED
@@ -432,10 +435,8 @@ class SweepCampaign:
             # profile-cache keys (built from the full config) keep
             # sub-detailed results out of detailed caches.
             config = config.with_fidelity(self.fidelity).validate()
-            fidelity = self.fidelity.value
         return PlannedPoint(
             value=value, label=label, config=config, policy=policy, tier=tier,
-            fidelity=fidelity,
         )
 
     def plan(
@@ -445,22 +446,16 @@ class SweepCampaign:
         *,
         transform: ConfigTransform | None = None,
     ) -> list[PlannedPoint]:
-        """Classify every value of a one-parameter sweep."""
-        if not values:
-            raise ValueError("need at least one value to sweep")
-        transform = self._resolve_transform(parameter, transform)
-        plan: list[PlannedPoint] = []
-        for value in values:
-            if transform is None:
-                config = self.base_config
-                policy = _spindown_policy(value)
-            else:
-                config = transform(self.base_config, value).validate()
-                policy = self.base_policy
-            plan.append(
-                self._classified(value, f"{parameter}={value}", config, policy)
-            )
-        return plan
+        """Classify every value of a one-parameter sweep: a one-axis
+        grid whose point values are the bare values, not 1-tuples."""
+        plan = self.plan_grid(
+            {parameter: values},
+            transforms=None if transform is None else {parameter: transform},
+        )
+        return [
+            dataclasses.replace(planned, value=planned.value[0])
+            for planned in plan
+        ]
 
     def plan_grid(
         self,
@@ -473,7 +468,7 @@ class SweepCampaign:
             raise ValueError("need at least one axis to sweep")
         transforms = transforms or {}
         resolved = {
-            name: self._resolve_transform(name, transforms.get(name))
+            name: _resolve_transform(name, transforms.get(name))
             for name in axes
         }
         for name, values in axes.items():
@@ -500,23 +495,34 @@ class SweepCampaign:
     # Shared base state (computed once, reused by the cheap tiers)
     # ------------------------------------------------------------------
 
-    def base_softwatt(self) -> SoftWatt:
-        """The lazily-built base-configuration SoftWatt instance."""
+    def _softwatt(self, config: SystemConfig, **settings) -> SoftWatt:
+        """A SoftWatt at ``config`` with the campaign's simulation
+        settings; ``settings`` forwards worker and supervision options."""
+        return SoftWatt(
+            config=config,
+            cpu_model=self.cpu_model,
+            window_instructions=self.window_instructions,
+            sample_interval_s=self.sample_interval_s,
+            seed=self.seed,
+            cache_dir=self.cache_dir,
+            use_cache=self.use_cache,
+            **settings,
+        )
+
+    def _base(self) -> SoftWatt:
+        """The lazily-built base-configuration SoftWatt, supervised like
+        the rest of the sweep."""
         if self._base_softwatt is None:
-            self._base_softwatt = SoftWatt(
-                config=self.base_config,
-                cpu_model=self.cpu_model,
-                window_instructions=self.window_instructions,
-                sample_interval_s=self.sample_interval_s,
-                seed=self.seed,
-                cache_dir=self.cache_dir,
-                use_cache=self.use_cache,
+            self._base_softwatt = self._softwatt(
+                self.base_config,
+                workers=self.workers,
+                **self._supervision_kwargs(),
             )
         return self._base_softwatt
 
     def _base_run(self) -> BenchmarkResult:
         if self._base_result is None:
-            self._base_result = self.base_softwatt().run(
+            self._base_result = self._base().run(
                 self.benchmark,
                 disk=self.base_policy,
                 idle_policy=self.idle_policy,
@@ -539,7 +545,7 @@ class SweepCampaign:
         """Re-price the cached base timeline under a fresh power model."""
         base = self._base_run()
         if planned.config == self.base_config:
-            model = self.base_softwatt().model
+            model = self._base().model
         else:
             model = ProcessorPowerModel(planned.config)
         trace = compute_power_trace(
@@ -556,46 +562,19 @@ class SweepCampaign:
         return point_from_result(planned.value, result)
 
     def _timeline_point(self, planned: PlannedPoint) -> SweepPoint:
-        """Replay the shared detailed profile under new timeline inputs."""
-        softwatt = self.base_softwatt()
-        profile = softwatt.profile(self.benchmark)
-        if planned.config == self.base_config:
-            model = softwatt.model
-        else:
-            model = ProcessorPowerModel(planned.config)
-        simulator = TimelineSimulator(
-            profile,
-            disk_policy=planned.policy,
-            sample_interval_s=self.sample_interval_s,
-            clock_hz=planned.config.technology.clock_hz,
-            speed_factor=speed_factor(self.cpu_model, planned.config),
-            service_profiles=softwatt._cached_service_profiles(),
-            idle_policy=self.idle_policy,
-        )
-        timeline = simulator.run()
-        series = disk_power_series(timeline.disk, timeline.log)
-        trace = compute_power_trace(timeline.log, model, disk_power_w=series)
-        result = BenchmarkResult(
-            name=profile.spec.name,
-            cpu_model=self.cpu_model,
-            disk_policy_name=planned.policy.name,
-            timeline=timeline,
-            trace=trace,
-            model=model,
+        """:meth:`SoftWatt.run` at the point's configuration over the
+        base instance's detailed profile and kernel-service profiles
+        (which no timeline leaf changes)."""
+        softwatt = self._base()
+        if planned.config != self.base_config:
+            base = softwatt
+            softwatt = self._softwatt(planned.config)
+            softwatt._profiles[self.benchmark] = base.profile(self.benchmark)
+            softwatt._service_profiles = base._cached_service_profiles()
+        result = softwatt.run(
+            self.benchmark, disk=planned.policy, idle_policy=self.idle_policy
         )
         return point_from_result(planned.value, result)
-
-    def _point_softwatt(self, planned: PlannedPoint) -> SoftWatt:
-        """A fresh SoftWatt at a structural point's configuration."""
-        return SoftWatt(
-            config=planned.config,
-            cpu_model=self.cpu_model,
-            window_instructions=self.window_instructions,
-            sample_interval_s=self.sample_interval_s,
-            seed=self.seed,
-            cache_dir=self.cache_dir,
-            use_cache=self.use_cache,
-        )
 
     def _supervision_kwargs(self) -> dict:
         return {
@@ -609,19 +588,6 @@ class SweepCampaign:
     # Execution
     # ------------------------------------------------------------------
 
-    def _note_fidelity(
-        self, plan: Sequence[PlannedPoint], report: RunReport
-    ) -> None:
-        """Record sub-detailed simulation in the run report."""
-        downgraded = sum(
-            1 for planned in plan if planned.fidelity != FidelityTier.DETAILED
-        )
-        if downgraded:
-            report.add_note(
-                f"{downgraded}/{len(plan)} point(s) simulated at "
-                f"{self.fidelity.value} fidelity"
-            )
-
     def run_plan(
         self, plan: Sequence[PlannedPoint], *, report: RunReport | None = None
     ) -> list[SweepPoint]:
@@ -630,9 +596,12 @@ class SweepCampaign:
         Results keep plan order.  Structural points on the same
         simulated machine share one kernel-service characterisation,
         then run in one supervised fan-out, each on its own
-        :class:`SoftWatt`.  Under ``best_effort`` a structural point
-        whose simulation failed is dropped (and recorded in ``report``)
-        instead of aborting the sweep.
+        :class:`SoftWatt` (at one worker: they run inside the fan-out).
+        The cheap tiers then run on the base instance, whose stages are
+        folded into ``report`` once, by the sweep that ran them.  Under
+        ``best_effort`` a structural point whose simulation failed is
+        dropped (and recorded in ``report``) instead of aborting the
+        sweep.
         """
         report = report if report is not None else RunReport()
         points: list[SweepPoint | None] = [None] * len(plan)
@@ -642,7 +611,7 @@ class SweepCampaign:
             if planned.tier is Tier.STRUCTURAL
         ]
         if structural:
-            softwatts = [self._point_softwatt(planned) for _, planned in structural]
+            softwatts = [self._softwatt(planned.config) for _, planned in structural]
             machines = share_timeline_services(
                 softwatts,
                 workers=self.workers,
@@ -668,11 +637,16 @@ class SweepCampaign:
             )
             for (index, _), point in zip(structural, swept):
                 points[index] = point
-        for index, planned in enumerate(plan):
-            if planned.tier is Tier.TIMELINE:
-                points[index] = self._timeline_point(planned)
-            elif planned.tier is Tier.LEDGER:
-                points[index] = self._ledger_point(planned)
+        try:
+            for index, planned in enumerate(plan):
+                if planned.tier is Tier.TIMELINE:
+                    points[index] = self._timeline_point(planned)
+                elif planned.tier is Tier.LEDGER:
+                    points[index] = self._ledger_point(planned)
+        finally:
+            if self._base_softwatt is not None:
+                report.merge(self._base_softwatt.run_report)
+                self._base_softwatt.run_report = RunReport()
         return [point for point in points if point is not None]
 
     def run(
@@ -683,17 +657,8 @@ class SweepCampaign:
         transform: ConfigTransform | None = None,
     ) -> SweepResult:
         """Sweep one parameter over ``values``."""
-        plan = self.plan(parameter, values, transform=transform)
-        report = RunReport()
-        self._note_fidelity(plan, report)
-        points = self.run_plan(plan, report=report)
-        return SweepResult(
-            parameter=parameter,
-            benchmark=self.benchmark,
-            points=points,
-            tiers=tuple(planned.tier.name for planned in plan),
-            fidelities=tuple(planned.fidelity for planned in plan),
-            report=report,
+        return self._sweep(
+            parameter, self.plan(parameter, values, transform=transform)
         )
 
     def run_grid(
@@ -707,71 +672,29 @@ class SweepCampaign:
         Point values are tuples in axis order; the result's
         ``parameter`` is the comma-joined axis names.
         """
-        plan = self.plan_grid(axes, transforms=transforms)
+        return self._sweep(
+            ",".join(axes), self.plan_grid(axes, transforms=transforms)
+        )
+
+    def _sweep(self, parameter: str, plan: list[PlannedPoint]) -> SweepResult:
         report = RunReport()
-        self._note_fidelity(plan, report)
+        downgraded = collections.Counter(
+            planned.fidelity for planned in plan
+            if planned.fidelity != FidelityTier.DETAILED
+        )
+        for fidelity, count in downgraded.items():
+            report.add_note(
+                f"{count}/{len(plan)} point(s) simulated at {fidelity} fidelity"
+            )
         points = self.run_plan(plan, report=report)
         return SweepResult(
-            parameter=",".join(axes),
+            parameter=parameter,
             benchmark=self.benchmark,
             points=points,
             tiers=tuple(planned.tier.name for planned in plan),
             fidelities=tuple(planned.fidelity for planned in plan),
             report=report,
         )
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers (the public sweep API)
-# ---------------------------------------------------------------------------
-
-
-def sweep_parameter(
-    parameter: str,
-    values: Sequence,
-    *,
-    benchmark: str = "jess",
-    disk: int | DiskPowerPolicy = 2,
-    window_instructions: int = 15_000,
-    seed: int = 1,
-    transform: ConfigTransform | None = None,
-    **campaign_kwargs,
-) -> SweepResult:
-    """Sweep one configuration parameter over ``values``.
-
-    ``parameter`` names a built-in transform from :data:`PARAMETERS`
-    (or :data:`SPINDOWN_PARAMETER`), or pass a custom
-    ``transform(config, value) -> config``.  Points are dispatched to
-    their invalidation tier; ``campaign_kwargs`` forwards engine
-    options (``workers``, ``cache_dir``, ``tier``, ``fault_plan``...)
-    to :class:`SweepCampaign`.
-    """
-    campaign = SweepCampaign(
-        benchmark=benchmark,
-        disk=disk,
-        window_instructions=window_instructions,
-        seed=seed,
-        **campaign_kwargs,
-    )
-    return campaign.run(parameter, values, transform=transform)
-
-
-def sweep_spindown_threshold(
-    thresholds_s: Sequence[float],
-    *,
-    benchmark: str = "compress",
-    window_instructions: int = 15_000,
-    seed: int = 1,
-    **campaign_kwargs,
-) -> SweepResult:
-    """Sweep the disk spin-down threshold (one shared profile)."""
-    campaign = SweepCampaign(
-        benchmark=benchmark,
-        window_instructions=window_instructions,
-        seed=seed,
-        **campaign_kwargs,
-    )
-    return campaign.run(SPINDOWN_PARAMETER, list(thresholds_s))
 
 
 def sweep_source(
@@ -804,12 +727,12 @@ def sweep_source(
     base = (
         base_config if base_config is not None else SystemConfig.table1()
     ).validate()
+    transform = _resolve_transform(parameter, transform)
     if transform is None:
-        if parameter not in PARAMETERS:
-            raise ValueError(
-                f"unknown parameter {parameter!r}; built-ins: "
-                f"{sorted(PARAMETERS)}")
-        transform = PARAMETERS[parameter]
+        raise ValueError(
+            f"{parameter} changes the disk policy, which requires tier "
+            f"{Tier.TIMELINE.name}; an external counter source has no "
+            f"timeline to replay")
     points: list[tuple[object, "EnergyLedger"]] = []
     for value in values:
         config = transform(base, value).validate()
@@ -828,23 +751,3 @@ def sweep_source(
         points.append((value, model.price(source)))
     return points
 
-
-def sweep_grid(
-    axes: Mapping[str, Sequence],
-    *,
-    benchmark: str = "jess",
-    disk: int | DiskPowerPolicy = 2,
-    window_instructions: int = 15_000,
-    seed: int = 1,
-    transforms: Mapping[str, ConfigTransform] | None = None,
-    **campaign_kwargs,
-) -> SweepResult:
-    """Sweep the cartesian product of several parameters."""
-    campaign = SweepCampaign(
-        benchmark=benchmark,
-        disk=disk,
-        window_instructions=window_instructions,
-        seed=seed,
-        **campaign_kwargs,
-    )
-    return campaign.run_grid(axes, transforms=transforms)

@@ -80,8 +80,7 @@ def speed_factor(cpu_model: str, config: SystemConfig) -> float:
 
     The benchmark durations are calibrated for the 4-wide MXS machine;
     Mipsy and the single-issue configuration run the same work over a
-    proportionally longer wall time.  The campaign engine's timeline
-    tier reuses this so replays match :meth:`SoftWatt.run` exactly.
+    proportionally longer wall time.
     """
     if cpu_model == "mipsy":
         return MIPSY_SPEED_FACTOR
@@ -282,6 +281,7 @@ class SoftWatt:
             profile,
             disk_policy=policy,
             sample_interval_s=self.sample_interval_s,
+            clock_hz=self.config.technology.clock_hz,
             speed_factor=speed,
             service_profiles=self._cached_service_profiles(),
             annotations=annotations,

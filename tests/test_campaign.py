@@ -23,17 +23,23 @@ import pytest
 
 from repro.config.diskcfg import DiskPowerPolicy
 from repro.config.system import SystemConfig
+from repro.config.technology import Technology
 from repro.core.campaign import (
+    LEDGER_LEAVES,
     PARAMETERS,
     SPINDOWN_PARAMETER,
+    TIMELINE_LEAVES,
     SweepCampaign,
     Tier,
     changed_leaves,
     classify,
     point_from_result,
 )
+from repro.core.checkpoint import profile_cache_key, service_cache_key
 from repro.core.softwatt import SoftWatt
 from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import TaskExecutionError
+from repro.workloads.specjvm98 import benchmark
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_energy.json").read_text()
@@ -124,6 +130,83 @@ class TestClassification:
         with pytest.raises(ValueError, match="unknown tier"):
             SweepCampaign(tier="turbo", **SETTINGS)
 
+    def test_one_parameter_plan_is_a_one_axis_grid(self):
+        campaign = SweepCampaign(**SETTINGS)
+        values = [1.5, BASE_VDD]
+        plan = campaign.plan("vdd", values)
+        grid = campaign.plan_grid({"vdd": values})
+        assert [p.value for p in plan] == values
+        assert [p.value for p in grid] == [(value,) for value in values]
+        for planned, cell in zip(plan, grid):
+            assert (planned.label, planned.config, planned.policy, planned.tier) == (
+                cell.label, cell.config, cell.policy, cell.tier)
+
+    def test_cheap_points_report_the_base_fidelity(self):
+        # A ledger point re-prices the base run's counters, so an atomic
+        # base makes an atomic point.
+        campaign = SweepCampaign(
+            **{**SETTINGS, "base_config": BASE.with_fidelity("atomic")}
+        )
+        plan = campaign.plan("vdd", [1.5, BASE_VDD])
+        assert [p.tier for p in plan] == [Tier.LEDGER, Tier.LEDGER]
+        assert [p.fidelity for p in plan] == ["atomic", "atomic"]
+
+    def test_forced_rung_downgrades_structural_points_only(self):
+        campaign = SweepCampaign(tier="atomic", **SETTINGS)
+        (planned,) = campaign.plan("l1_size", [16384])
+        assert planned.tier is Tier.STRUCTURAL
+        assert planned.fidelity == "atomic"
+        assert SweepCampaign(**SETTINGS).plan("l1_size", [16384])[0].fidelity == (
+            "detailed")
+
+
+# ---------------------------------------------------------------------------
+# The invalidation table agrees with the cache keys
+# ---------------------------------------------------------------------------
+
+
+def _keys(config):
+    spec = benchmark("jess")
+    profile = profile_cache_key(
+        spec, config, cpu_model="mxs", window_instructions=6000,
+        startup_chunks=4, steady_chunks=2, seed=3,
+    )
+    service = service_cache_key(
+        "utlb", config, cpu_model="mxs", invocations=30, warmup=6, seed=3,
+    )
+    return profile, service
+
+
+class TestInvalidationTableMatchesCacheKeys:
+    """The cheap tiers reuse the base profile and service profiles, so
+    every leaf they accept must be one the cache keys leave out."""
+
+    def test_cheap_leaves_are_the_technology_fields(self):
+        assert LEDGER_LEAVES | TIMELINE_LEAVES == {
+            f"technology.{field.name}" for field in dataclasses.fields(Technology)
+        }
+
+    @pytest.mark.parametrize("leaf", sorted(LEDGER_LEAVES | TIMELINE_LEAVES))
+    def test_cheap_leaf_keeps_both_keys(self, leaf):
+        name = leaf.split(".", 1)[1]
+        value = getattr(BASE.technology, name)
+        other = dataclasses.replace(
+            BASE,
+            technology=dataclasses.replace(BASE.technology, **{name: value * 0.5}),
+        ).validate()
+        assert changed_leaves(BASE, other) == [leaf]
+        assert _keys(other) == _keys(BASE)
+
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("l1_size", 16384), ("l2_size", 262144), ("window_size", 16),
+         ("issue_width", 2), ("tlb_entries", 16)],
+    )
+    def test_structural_parameter_changes_profile_key(self, parameter, value):
+        other = PARAMETERS[parameter](BASE, value).validate()
+        assert classify(BASE, other) is Tier.STRUCTURAL
+        assert _keys(other)[0] != _keys(BASE)[0]
+
 
 # ---------------------------------------------------------------------------
 # Tier equivalence (simulation-backed; fixtures share the expensive runs)
@@ -178,11 +261,44 @@ class TestTimelineTier:
         for cheap_point, full_point in zip(cheap.points, full.points):
             assert _point_fields(cheap_point) == _point_fields(full_point)
 
+    def test_clock_sweep_matches_full(self):
+        cheap = SweepCampaign(**SETTINGS).run("clock_hz", [150e6])
+        full = SweepCampaign(tier="full", **SETTINGS).run("clock_hz", [150e6])
+        assert cheap.tiers == ("TIMELINE",)
+        assert _point_fields(cheap.points[0]) == _point_fields(full.points[0])
+
     def test_custom_policy_object_accepted(self):
         policy = DiskPowerPolicy(name="always-on", spindown_threshold_s=1e9)
         campaign = SweepCampaign(**{**SETTINGS, "disk": policy})
         plan = campaign.plan("vdd", [BASE_VDD])
         assert plan[0].tier is Tier.LEDGER
+
+
+class TestBaseRunSupervision:
+    """The base run the cheap tiers share is supervised like the rest
+    of the sweep, and its stages reach the sweep's report."""
+
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("l1_size", 16384), ("vdd", 3.0), (SPINDOWN_PARAMETER, 2.0)],
+    )
+    def test_fault_plan_reaches_every_tier(self, parameter, value):
+        campaign = SweepCampaign(
+            window_instructions=2000,
+            use_cache=False,
+            retries=0,
+            fault_plan=FaultPlan.parse("error@0x9"),
+        )
+        with pytest.raises(TaskExecutionError):
+            campaign.run(parameter, [value])
+
+    def test_base_stages_are_reported_once(self):
+        campaign = SweepCampaign(window_instructions=2000, use_cache=False)
+        first = campaign.run("vdd", [3.0])
+        # The base run characterised every kernel service.
+        assert first.report.tasks
+        second = campaign.run("vdd", [2.5])
+        assert second.report.tasks == []
 
 
 class TestMipsyStructuralSweep:

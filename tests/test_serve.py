@@ -304,12 +304,18 @@ class TestDegradation:
         bad = engine.sweep({"parameter": "nonsense", "values": [1]})
         assert bad["status"] == 400
 
-    def test_sweep_deadline_at_one_worker_is_reported(self, cache_dir):
-        # One worker runs the structural point in-process, where the
-        # deadline cannot interrupt it: the reply must say so.
-        engine = make_engine(cache_dir)
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("l1_size", 16384), ("vdd", 3.0), ("spindown_threshold_s", 2.0)],
+    )
+    def test_sweep_deadline_at_one_worker_is_reported(self, parameter, value):
+        # One worker runs every stage in-process, where the deadline
+        # cannot interrupt it: the reply must say so on every tier,
+        # also when only the base run simulates (a cold one, so its
+        # kernel services are characterised under the deadline).
+        engine = make_engine(None, use_cache=False)
         reply = engine.sweep(
-            {"parameter": "l1_size", "values": [16384], "deadline_s": 600}
+            {"parameter": parameter, "values": [value], "deadline_s": 600}
         )
         assert reply["status"] == 200
         kinds = [
