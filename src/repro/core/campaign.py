@@ -565,9 +565,8 @@ class SweepCampaign:
         """:meth:`SoftWatt.run` at the point's configuration over the
         base instance's detailed profile and kernel-service profiles
         (which no timeline leaf changes)."""
-        softwatt = self._base()
+        base = softwatt = self._base()
         if planned.config != self.base_config:
-            base = softwatt
             softwatt = self._softwatt(planned.config)
             softwatt._profiles[self.benchmark] = base.profile(self.benchmark)
             softwatt._service_profiles = base._cached_service_profiles()
@@ -596,7 +595,7 @@ class SweepCampaign:
         Results keep plan order.  Structural points on the same
         simulated machine share one kernel-service characterisation,
         then run in one supervised fan-out, each on its own
-        :class:`SoftWatt` (at one worker: they run inside the fan-out).
+        :class:`SoftWatt`, which runs at one worker inside the fan-out.
         The cheap tiers then run on the base instance, whose stages are
         folded into ``report`` once, by the sweep that ran them.  Under
         ``best_effort`` a structural point whose simulation failed is
