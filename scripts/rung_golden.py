@@ -4,9 +4,9 @@
 ``tests/data/golden_energy.json`` pins the detailed rung only; the
 fidelity error bounds check the atomic and sampled rungs loosely.  This
 file pins their exact output: for every (rung, CPU model, benchmark) it
-stores the SHA-256 of the profile's checkpoint encoding plus the total
-cycles and instructions over all phases, at a small window so the
-replay stays fast.
+stores the SHA-256 of the profile's ``encode_profile`` output plus the
+total cycles and instructions over all phases, at a small window so
+the replay stays fast.
 
 ``tests/test_rung_golden.py`` replays the file and asserts identical
 digests.  Regenerate only when an *intentional* numerical change to a

@@ -7,7 +7,7 @@ Usage (after ``pip install -e .``)::
     repro suite --disk 1
     repro services
     repro disk-study compress
-    repro checkpoint --out profiles.json jess db
+    repro checkpoint --cache-dir profiles jess db
 
 or equivalently ``python -m repro ...``.
 """
@@ -21,9 +21,8 @@ from collections import Counter
 from repro.config.diskcfg import DiskPowerPolicy
 from repro.config.system import ConfigError, FidelityConfig, FidelityTier
 from repro.core.campaign import TIER_NAMES, SweepCampaign
-from repro.core.checkpoint import CheckpointError
 from repro.core.report import MODE_ORDER, BenchmarkResult
-from repro.core.softwatt import SoftWatt
+from repro.core.softwatt import TIMELINE_SERVICE_INVOCATIONS, SoftWatt
 from repro.kernel.modes import KERNEL_SERVICES
 from repro.resilience.faults import HANG, FaultPlan
 from repro.resilience.supervisor import TaskExecutionError
@@ -82,6 +81,14 @@ def _add_fidelity(parser: argparse.ArgumentParser) -> None:
                              "before each measured window (default: 300)")
 
 
+def _add_cache(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cache-dir", metavar="DIR",
+                        help="persistent profile cache directory "
+                             "(default: $REPRO_CACHE_DIR, or disabled)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="ignore the persistent profile cache")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cpu", choices=("mxs", "mipsy"), default="mxs",
                         help="CPU timing model (default: mxs)")
@@ -89,15 +96,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="detailed-window instructions (default: 40000)")
     parser.add_argument("--seed", type=int, default=1)
     _add_fidelity(parser)
-    parser.add_argument("--checkpoint", metavar="FILE",
-                        help="load profiles from / save profiles to FILE")
     parser.add_argument("--workers", type=int, default=1,
                         help="processes for the profiling stage (default: 1)")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="persistent profile cache directory "
-                             "(default: $REPRO_CACHE_DIR, or disabled)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore the persistent profile cache")
+    _add_cache(parser)
     _add_resilience(parser)
 
 
@@ -166,21 +167,7 @@ def _make_softwatt(args: argparse.Namespace) -> SoftWatt:
                         use_cache=not getattr(args, "no_cache", False),
                         **_resilience_kwargs(args))
     _ACTIVE_SOFTWATT = softwatt
-    if args.checkpoint:
-        try:
-            softwatt.load_checkpoint(args.checkpoint)
-            print(f"(profiles loaded from {args.checkpoint})")
-        except CheckpointError as error:
-            if "cannot read" not in str(error):
-                raise
-            print(f"(no checkpoint at {args.checkpoint} yet; will create it)")
     return softwatt
-
-
-def _maybe_save(softwatt: SoftWatt, args: argparse.Namespace) -> None:
-    if args.checkpoint:
-        softwatt.save_checkpoint(args.checkpoint)
-        print(f"(profiles saved to {args.checkpoint})")
 
 
 def _print_report(result: BenchmarkResult) -> None:
@@ -241,7 +228,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"counter log written to {args.export_counters} "
               f"(re-price with: repro ingest {args.export_counters} "
               f"--mapping identity)")
-    _maybe_save(softwatt, args)
     return _finish(softwatt, args)
 
 
@@ -346,7 +332,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
               f"{result.total_energy_j:9.1f} {result.disk_energy_j:7.1f} "
               f"{user.cycles_pct:6.1f} {kern.cycles_pct:6.1f} "
               f"{idle.cycles_pct:6.1f} {shares['disk']:6.1f}")
-    _maybe_save(softwatt, args)
     return _finish(softwatt, args)
 
 
@@ -369,25 +354,23 @@ def cmd_services(args: argparse.Namespace) -> int:
 
 
 def cmd_disk_study(args: argparse.Namespace) -> int:
+    try:
+        custom = [
+            DiskPowerPolicy(name=f"custom-{threshold:g}s",
+                            spindown_threshold_s=threshold)
+            for threshold in args.threshold or ()
+        ]
+    except ValueError as error:
+        raise UsageError(str(error)) from None
     softwatt = _make_softwatt(args)
     print(f"{'policy':16s} {'disk J':>8s} {'total J':>8s} {'idle cyc':>10s} "
           f"{'spindowns':>10s} {'dur s':>7s}")
-    for disk in (1, 2, 3, 4):
+    for disk in (1, 2, 3, 4, *custom):
         result = softwatt.run(args.benchmark, disk=disk)
         print(f"{result.disk_policy_name:16s} {result.disk_energy_j:8.1f} "
               f"{result.total_energy_j:8.1f} {result.idle_cycles:10.3g} "
               f"{result.timeline.disk.state.spindowns:10d} "
               f"{result.timeline.duration_s:7.2f}")
-    if args.threshold:
-        for threshold in args.threshold:
-            policy = DiskPowerPolicy(name=f"custom-{threshold:g}s",
-                                     spindown_threshold_s=threshold)
-            result = softwatt.run(args.benchmark, disk=policy)
-            print(f"{policy.name:16s} {result.disk_energy_j:8.1f} "
-                  f"{result.total_energy_j:8.1f} {result.idle_cycles:10.3g} "
-                  f"{result.timeline.disk.state.spindowns:10d} "
-                  f"{result.timeline.duration_s:7.2f}")
-    _maybe_save(softwatt, args)
     return _finish(softwatt, args)
 
 
@@ -396,11 +379,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     softwatt = _make_softwatt(args)
     if args.benchmark == "suite":
-        results = {
-            name: softwatt.run(name, disk=args.disk)
-            for name in BENCHMARK_NAMES
-        }
-        text = render_suite(results)
+        text = render_suite(softwatt.run_suite(disk=args.disk))
     else:
         text = render_run(softwatt.run(args.benchmark, disk=args.disk))
     if args.out:
@@ -409,7 +388,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"report written to {args.out}")
     else:
         print(text)
-    _maybe_save(softwatt, args)
     return _finish(softwatt, args)
 
 
@@ -490,23 +468,22 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    global _ACTIVE_SOFTWATT
-    softwatt = SoftWatt(cpu_model=args.cpu, window_instructions=args.window,
-                        seed=args.seed, workers=args.workers,
-                        fidelity=_fidelity_kwarg(args),
-                        cache_dir=args.cache_dir,
-                        use_cache=not args.no_cache,
-                        **_resilience_kwargs(args))
-    _ACTIVE_SOFTWATT = softwatt
+    """Warm a profile cache: the profiles and kernel-service profiles a
+    later command with the same settings and cache looks up."""
+    softwatt = _make_softwatt(args)
+    if softwatt.cache is None:
+        raise UsageError(
+            "checkpoint needs a cache directory: --cache-dir DIR or "
+            "$REPRO_CACHE_DIR (and no --no-cache)"
+        )
     names = tuple(args.benchmarks or BENCHMARK_NAMES)
     print(f"profiling {', '.join(names)}...")
     profiles = softwatt.profile_many(names)
     for name in names:
         if name not in profiles:
-            print(f"  {name}: profiling FAILED, omitted from checkpoint")
-    softwatt._cached_service_profiles()
-    softwatt.save_checkpoint(args.out)
-    print(f"checkpoint written to {args.out}")
+            print(f"  {name}: profiling FAILED, not cached")
+    softwatt.service_profiles(invocations=TIMELINE_SERVICE_INVOCATIONS)
+    print(f"profiles cached in {softwatt.cache.directory}")
     return _finish(softwatt, args)
 
 
@@ -694,11 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "that cheaper execution tier")
     p.add_argument("--workers", type=int, default=1,
                    help="processes for structural points (default: 1)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="persistent profile cache directory "
-                        "(default: $REPRO_CACHE_DIR, or disabled)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore the persistent profile cache")
+    _add_cache(p)
     _add_resilience(p)
     p.set_defaults(func=cmd_sensitivity)
 
@@ -729,10 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=40_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="persistent profile cache directory "
-                        "(default: $REPRO_CACHE_DIR, or disabled)")
-    p.add_argument("--no-cache", action="store_true")
+    _add_cache(p)
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--serve-fault-plan", metavar="SPEC",
                    help="inject deterministic server faults, e.g. "
@@ -743,18 +713,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 2)")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("checkpoint", help="profile benchmarks and save")
+    p = sub.add_parser("checkpoint",
+                       help="profile benchmarks into the profile cache")
     p.add_argument("benchmarks", nargs="*",
                    help="benchmarks to profile (default: all six)")
-    p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--cpu", choices=("mxs", "mipsy"), default="mxs")
-    p.add_argument("--window", type=int, default=40_000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cache-dir", metavar="DIR")
-    p.add_argument("--no-cache", action="store_true")
-    _add_fidelity(p)
-    _add_resilience(p)
+    _add_common(p)
     p.set_defaults(func=cmd_checkpoint)
 
     return parser
@@ -765,8 +728,8 @@ def main(argv: list[str] | None = None) -> int:
 
     Exit codes: 0 clean (or tolerated degradations without ``--strict``),
     1 degraded under ``--strict`` or a task failed after retries,
-    2 invalid system configuration, option combination, fault-plan
-    spec or checkpoint,
+    2 invalid system configuration, option combination or fault-plan
+    spec,
     130 interrupted (with a partial run-report summary, not a traceback).
     """
     global _ACTIVE_SOFTWATT
@@ -778,7 +741,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as error:
         print(f"configuration error: {error}", file=sys.stderr)
         return 2
-    except (UsageError, CheckpointError) as error:
+    except UsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except TaskExecutionError as error:

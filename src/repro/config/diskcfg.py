@@ -108,8 +108,12 @@ class DiskPowerPolicy:
     def __post_init__(self) -> None:
         if self.conventional and self.spindown_threshold_s is not None:
             raise ValueError("a conventional disk cannot have a spin-down threshold")
-        if self.spindown_threshold_s is not None and self.spindown_threshold_s <= 0:
-            raise ValueError("spin-down threshold must be positive")
+        # ``not > 0`` also rejects NaN; inf stays legal ("never spin down").
+        if self.spindown_threshold_s is not None and not self.spindown_threshold_s > 0:
+            raise ValueError(
+                f"spin-down threshold must be positive, got "
+                f"{self.spindown_threshold_s}"
+            )
 
 
 def disk_configuration(number: int) -> DiskPowerPolicy:

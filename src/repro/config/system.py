@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from repro.config.technology import Technology, DEFAULT_TECHNOLOGY
 
@@ -324,26 +325,34 @@ class SystemConfig:
                 f"({self.memory.size_bytes} B)",
             )
         technology = self.technology
-        if technology.vdd <= 0:
+        # Written as "not (finite and in range)" so NaN, which fails
+        # every comparison, is rejected along with infinities.
+        if not (math.isfinite(technology.vdd) and technology.vdd > 0):
             raise ConfigError(
-                "technology.vdd", f"supply voltage must be positive, got "
-                f"{technology.vdd}"
+                "technology.vdd", f"supply voltage must be positive and "
+                f"finite, got {technology.vdd}"
             )
-        if technology.clock_hz <= 0:
+        if not (math.isfinite(technology.clock_hz) and technology.clock_hz > 0):
             raise ConfigError(
                 "technology.clock_hz",
-                f"clock frequency must be positive, got {technology.clock_hz}",
+                f"clock frequency must be positive and finite, got "
+                f"{technology.clock_hz}",
             )
-        if technology.calibration < 0:
+        if not (
+            math.isfinite(technology.calibration) and technology.calibration >= 0
+        ):
             raise ConfigError(
                 "technology.calibration",
-                f"calibration scale would produce negative energies: "
+                f"calibration scale must be finite and non-negative, got "
                 f"{technology.calibration}",
             )
-        if technology.feature_size_um <= 0:
+        if not (
+            math.isfinite(technology.feature_size_um)
+            and technology.feature_size_um > 0
+        ):
             raise ConfigError(
                 "technology.feature_size_um",
-                f"feature size must be positive, got "
+                f"feature size must be positive and finite, got "
                 f"{technology.feature_size_um}",
             )
         fidelity = self.fidelity

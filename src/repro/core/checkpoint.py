@@ -1,27 +1,24 @@
-"""Profile checkpoints: persist detailed-simulation state to disk.
+"""The profile cache: the paper's checkpoint, kept on disk.
 
 The paper's methodology leans on checkpoints — "the file-caches were
 warmed and a checkpoint was taken before the program was loaded"
 (Section 3.1) — so that the expensive part of simulation runs once.
 The expensive part of *this* reproduction is the detailed cycle-level
-profiling; this module serialises its results (benchmark profiles and
-per-invocation service profiles) to JSON so later sessions can sweep
-disk policies, sample intervals, or report formats without
-re-simulating.
+profiling; :class:`ProfileCache` persists its results (benchmark
+profiles and per-invocation service profiles) so later processes can
+sweep disk policies, sample intervals, or report formats without
+re-simulating.  ``repro checkpoint --cache-dir DIR`` warms one.
 
-Format: a single JSON document, versioned; counters are stored as plain
-dicts, per-label stats keyed by label (``"__user__"`` stands for the
-``None`` user label, which JSON cannot key).
-
-On top of the explicit checkpoint files, :class:`ProfileCache` provides
-a *content-addressed* on-disk cache: each profile is stored under a key
-that hashes everything the result depends on (benchmark spec, the parts
-of the system configuration the simulation reads, CPU model, window
+Each entry is one JSON file stored under a *content-addressed* key that
+hashes everything the result depends on (benchmark spec, the parts of
+the system configuration the simulation reads, CPU model, window
 parameters, seed, and a model-version stamp), so
 :class:`~repro.core.softwatt.SoftWatt` can consult it transparently — a
 stale or mismatched entry simply misses and the profile is
-re-simulated.  Service entries are price-free measurements, so one
-entry serves every technology point.
+re-simulated.  Counters are stored as plain dicts, per-label stats
+keyed by label (``"__user__"`` stands for the ``None`` user label,
+which JSON cannot key).  Service entries are price-free measurements,
+so one entry serves every technology point.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Callable
+import threading
 
 from repro.core.profiles import (
     BenchmarkProfile,
@@ -44,10 +41,8 @@ from repro.cpu.branch import BranchStats
 from repro.cpu.runstats import LabelStats, RunStats
 from repro.stats.counters import AccessCounters
 from repro.stats.simlog import log_degradation
-from repro.workloads.specjvm98 import BenchmarkSpec, benchmark
+from repro.workloads.specjvm98 import BenchmarkSpec
 
-CHECKPOINT_VERSION = 3
-"""Version 3: each entry carries the cache key it was profiled under."""
 _USER_KEY = "__user__"
 
 MODEL_VERSION = 2
@@ -81,7 +76,7 @@ available for a bug report instead of silently vanishing."""
 
 
 class CheckpointError(RuntimeError):
-    """Raised when a checkpoint cannot be read back."""
+    """Raised when a cache entry's profile cannot be decoded."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +91,7 @@ def _decode_counters(data: dict) -> AccessCounters:
     counters = AccessCounters()
     for name, value in data.items():
         if not hasattr(counters, name):
-            raise CheckpointError(f"unknown counter {name!r} in checkpoint")
+            raise CheckpointError(f"unknown counter {name!r} in cache entry")
         setattr(counters, name, value)
     return counters
 
@@ -411,7 +406,11 @@ class ProfileCache:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             path = self._path(key)
-            tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+            # Unique per writer: two threads storing one key (serve's
+            # rungs share service entries) must not share a temp file.
+            tmp = path.with_name(
+                f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+            )
             tmp.write_text(json.dumps(document))
             os.replace(tmp, path)
         except OSError:
@@ -506,101 +505,3 @@ class ProfileCache:
         if not self.quarantine_dir.is_dir():
             return []
         return sorted(self.quarantine_dir.glob("*.json"))
-
-
-# ---------------------------------------------------------------------------
-# Public API
-# ---------------------------------------------------------------------------
-
-ProfileKey = Callable[[BenchmarkSpec], str]
-"""The cache key a benchmark profile is made under (:func:`profile_cache_key`
-with one instance's machine, window and seed bound)."""
-
-ServiceKey = Callable[[str, int], str]
-"""The cache key of ``(service, invocations)`` (:func:`service_cache_key`
-with one instance's machine and seed bound)."""
-
-
-def save_checkpoint(
-    path: str | pathlib.Path,
-    *,
-    profiles: dict[str, BenchmarkProfile],
-    service_profiles: dict[str, ServiceInvocationProfile] | None = None,
-    cpu_model: str = "mxs",
-    profile_key: ProfileKey | None = None,
-    service_key: ServiceKey | None = None,
-) -> None:
-    """Write benchmark and service profiles to ``path`` as JSON.
-
-    With ``profile_key`` / ``service_key`` each entry records the cache
-    key it was made under, so :func:`load_checkpoint` can refuse it on
-    another machine.
-    """
-    document = {
-        "version": CHECKPOINT_VERSION,
-        "cpu_model": cpu_model,
-        "benchmarks": {
-            name: {
-                **encode_profile(profile),
-                "key": profile_key and profile_key(profile.spec),
-            }
-            for name, profile in profiles.items()
-        },
-        "services": {
-            name: {
-                **_encode_service(profile),
-                "key": service_key and service_key(name, profile.invocations),
-            }
-            for name, profile in (service_profiles or {}).items()
-        },
-    }
-    pathlib.Path(path).write_text(json.dumps(document))
-
-
-def _check_key(payload: dict, key: str | None, entry: str) -> None:
-    if key is not None and payload.get("key") != key:
-        raise CheckpointError(
-            f"checkpoint {entry} was profiled under another CPU model, "
-            f"machine, window or seed than this instance's"
-        )
-
-
-def load_checkpoint(
-    path: str | pathlib.Path,
-    *,
-    config: SystemConfig | None = None,
-    profile_key: ProfileKey | None = None,
-    service_key: ServiceKey | None = None,
-) -> tuple[dict[str, BenchmarkProfile], dict[str, ServiceInvocationProfile], str]:
-    """Read ``path`` back; returns (profiles, service profiles, cpu model).
-
-    Specs are re-resolved from the benchmark registry by name, so a
-    checkpoint stays valid across sessions as long as the named
-    benchmarks exist.  With ``profile_key`` / ``service_key`` an entry
-    whose recorded cache key differs from the key this caller would
-    profile it under raises :class:`CheckpointError` naming the entry.
-    """
-    config = config if config is not None else SystemConfig.table1()
-    try:
-        document = json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise CheckpointError(f"cannot read checkpoint {path}: {error}") from error
-    if document.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {document.get('version')!r} is not "
-            f"{CHECKPOINT_VERSION}"
-        )
-    profiles: dict[str, BenchmarkProfile] = {}
-    for name, payload in document.get("benchmarks", {}).items():
-        spec: BenchmarkSpec = benchmark(payload["spec"])
-        _check_key(payload, profile_key and profile_key(spec), f"benchmark {name!r}")
-        profiles[name] = decode_profile(payload, spec=spec, config=config)
-    services = {}
-    for name, payload in document.get("services", {}).items():
-        services[name] = profile = _decode_service(payload)
-        _check_key(
-            payload,
-            service_key and service_key(name, profile.invocations),
-            f"service {name!r}",
-        )
-    return profiles, services, document.get("cpu_model", "mxs")

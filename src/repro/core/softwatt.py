@@ -30,13 +30,7 @@ from typing import Sequence
 
 from repro.config.diskcfg import DiskPowerPolicy, disk_configuration
 from repro.config.system import FidelityConfig, SystemConfig
-from repro.core.checkpoint import (
-    ProfileCache,
-    load_checkpoint,
-    profile_cache_key,
-    save_checkpoint,
-    service_cache_key,
-)
+from repro.core.checkpoint import ProfileCache, profile_cache_key, service_cache_key
 from repro.core.profiles import (
     BenchmarkProfile,
     PricedServiceProfile,
@@ -163,15 +157,22 @@ class SoftWatt:
         Cached in memory per benchmark name, and — when the persistent
         cache is enabled — on disk under a content-addressed key, so a
         later process with the same spec, configuration, and profiling
-        parameters skips the detailed simulation entirely.
+        parameters skips the detailed simulation entirely.  A miss is
+        profiled by :meth:`profile_many`, so it is supervised like every
+        other stage; a profile that failed under best effort raises
+        :class:`~repro.resilience.supervisor.TaskExecutionError`.
         """
         if isinstance(spec, str):
             spec = benchmark(spec)
-        profile = self._cached_profile(spec)
-        if profile is None:
-            profile = self.profiler.profile_benchmark(spec)
-            self._keep_profile(spec, profile)
-        return profile
+        held = self._held_profile(spec)
+        if held is not None:
+            return held
+        profiles = self.profile_many((spec,))
+        if spec.name not in profiles:
+            raise TaskExecutionError(
+                f"profiling {spec.name} failed", profiles.report, [None]
+            )
+        return profiles[spec.name]
 
     def _keep_profile(self, spec: BenchmarkSpec, profile: BenchmarkProfile) -> None:
         """Hold ``profile`` in memory and in the persistent cache."""
@@ -179,16 +180,19 @@ class SoftWatt:
         if self.cache is not None:
             self.cache.store_profile(self._profile_key(spec), profile)
 
+    def _held_profile(self, spec: BenchmarkSpec) -> BenchmarkProfile | None:
+        """``spec``'s profile held in memory, else ``None``.  A same-named
+        but different spec (a ``dataclasses.replace`` variant of a
+        built-in benchmark) misses."""
+        held = self._profiles.get(spec.name)
+        return held if held is not None and held.spec == spec else None
+
     def _cached_profile(self, spec: BenchmarkSpec) -> BenchmarkProfile | None:
         """``spec``'s profile from memory, else from the persistent cache
-        (kept in memory from then on), else ``None``.  A same-named but
-        different spec (a ``dataclasses.replace`` variant of a built-in
-        benchmark) misses."""
-        cached = self._profiles.get(spec.name)
-        if cached is not None and cached.spec == spec:
-            return cached
-        if self.cache is None:
-            return None
+        (kept in memory from then on), else ``None``."""
+        held = self._held_profile(spec)
+        if held is not None or self.cache is None:
+            return held
         profile = self.cache.load_profile(
             self._profile_key(spec), spec=spec, config=self.config
         )
@@ -218,14 +222,15 @@ class SoftWatt:
         report = RunReport()
         results: list = []
         try:
-            results = parallel_map(
-                self.profiler.profile_benchmark,
-                pending,
-                workers=self.workers if workers is None else workers,
-                labels=[spec.name for spec in pending],
-                report=report,
-                **self._supervision_kwargs(),
-            )
+            if pending:
+                results = parallel_map(
+                    self.profiler.profile_benchmark,
+                    pending,
+                    workers=self.workers if workers is None else workers,
+                    labels=[spec.name for spec in pending],
+                    report=report,
+                    **self._supervision_kwargs(),
+                )
         except TaskExecutionError as error:
             results = error.results
             raise
@@ -234,9 +239,9 @@ class SoftWatt:
                 if profile is not None:  # None: a failure, in the report
                     self._keep_profile(spec, profile)
         profiles = {
-            spec.name: self._profiles[spec.name]
+            spec.name: profile
             for spec in specs
-            if spec.name in self._profiles
+            if (profile := self._held_profile(spec)) is not None
         }
         return self._attach_report(profiles, report)
 
@@ -415,43 +420,6 @@ class SoftWatt:
             self._service_profiles = measured
         self.run_report.merge(report)
         return measured
-
-    # ------------------------------------------------------------------
-    # Checkpoints (Section 3.1 methodology)
-    # ------------------------------------------------------------------
-
-    def save_checkpoint(self, path) -> None:
-        """Persist every cached profile to ``path`` (JSON).
-
-        Mirrors the paper's checkpoint step: the expensive detailed
-        simulation runs once; later sessions ``load_checkpoint`` and
-        sweep disk policies or report formats instantly.
-        """
-        save_checkpoint(
-            path,
-            profiles=self._profiles,
-            service_profiles=self._service_profiles,
-            cpu_model=self.cpu_model,
-            profile_key=self._profile_key,
-            service_key=self._service_key,
-        )
-
-    def load_checkpoint(self, path) -> None:
-        """Load profiles saved by :meth:`save_checkpoint` into the cache.
-
-        Raises :class:`~repro.core.checkpoint.CheckpointError` when an
-        entry was profiled under another CPU model, machine, window or
-        seed than this instance's.
-        """
-        profiles, services, _ = load_checkpoint(
-            path,
-            config=self.config,
-            profile_key=self._profile_key,
-            service_key=self._service_key,
-        )
-        self._profiles.update(profiles)
-        if services:
-            self._service_profiles = services
 
     # ------------------------------------------------------------------
     # Validation (Section 2)

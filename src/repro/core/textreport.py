@@ -132,6 +132,8 @@ def render_suite(results: dict[str, BenchmarkResult]) -> str:
                   f"{result.total_energy_j:9.1f} {result.disk_energy_j:7.1f} "
                   f"{result.average_power_w:6.2f} {result.peak_power_w:7.2f} "
                   f"{result.energy_delay_product:8.1f}\n")
+    if not results:  # every benchmark failed under best effort
+        return out.getvalue()
 
     _heading(out, "Suite-average power budget")
     budgets = [result.power_budget() for result in results.values()]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.profiles import Profiler
 
 WINDOW_ARGS = ["--window", "8000", "--seed", "1"]
 
@@ -76,16 +77,33 @@ class TestCommands:
         assert "spindown-2s" in out
         assert "custom-1s" in out
 
-    def test_checkpoint_workflow(self, tmp_path, capsys):
-        path = tmp_path / "ck.json"
-        assert main(["checkpoint", "db", "--out", str(path),
-                     "--window", "8000", "--seed", "1"]) == 0
-        assert path.exists()
-        # Re-use it from `run`.
-        assert main(["run", "db", "--checkpoint", str(path),
-                     *WINDOW_ARGS]) == 0
-        out = capsys.readouterr().out
-        assert "profiles loaded" in out
+    @pytest.mark.parametrize("threshold", ["nan", "0"])
+    def test_disk_study_rejects_bad_threshold_before_simulating(
+        self, monkeypatch, capsys, threshold
+    ):
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the threshold")
+
+        monkeypatch.setattr(Profiler, "profile_benchmark", simulated)
+        assert main(["disk-study", "db", "--threshold", threshold,
+                     "--no-cache", *WINDOW_ARGS]) == 2
+        assert "spin-down threshold" in capsys.readouterr().err
+
+    def test_checkpoint_workflow(self, tmp_path, capsys, monkeypatch):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(["checkpoint", "db", *cache, *WINDOW_ARGS]) == 0
+        assert "profiles cached in" in capsys.readouterr().out
+        cold = main(["run", "db", "--no-cache", *WINDOW_ARGS])
+        cold_out = capsys.readouterr().out
+
+        def simulated(*args, **kwargs):
+            raise AssertionError("a warmed cache must not re-simulate")
+
+        # Re-use it from `run`: every profile the run needs is cached.
+        monkeypatch.setattr(Profiler, "profile_benchmark", simulated)
+        monkeypatch.setattr(Profiler, "profile_service", simulated)
+        assert main(["run", "db", *cache, "--strict", *WINDOW_ARGS]) == cold == 0
+        assert capsys.readouterr().out == cold_out
 
     def test_report_to_file(self, tmp_path, capsys):
         path = tmp_path / "report.txt"
@@ -103,9 +121,38 @@ class TestCommands:
         assert "best EDP" in out
 
     def test_checkpoint_created_when_missing(self, tmp_path, capsys):
-        path = tmp_path / "fresh.json"
-        assert main(["run", "db", "--checkpoint", str(path),
+        path = tmp_path / "fresh" / "cache"
+        assert main(["checkpoint", "db", "--cache-dir", str(path),
                      *WINDOW_ARGS]) == 0
-        out = capsys.readouterr().out
-        assert "will create it" in out
-        assert path.exists()
+        assert list(path.glob("*.json"))
+
+    @pytest.mark.parametrize("no_cache", [False, True])
+    def test_checkpoint_needs_a_cache_dir(
+        self, tmp_path, monkeypatch, capsys, no_cache
+    ):
+        # --no-cache wins over a cache directory named in the environment.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path) if no_cache else "")
+        option = ["--no-cache"] if no_cache else []
+        assert main(["checkpoint", "db", *option, *WINDOW_ARGS]) == 2
+        assert "cache directory" in capsys.readouterr().err
+
+    def test_suite_report_is_the_same_at_every_worker_count(self, tmp_path):
+        paths = [tmp_path / f"suite-{workers}.txt" for workers in (1, 2)]
+        for workers, path in zip((1, 2), paths):
+            assert main(["report", "suite", "--workers", str(workers),
+                         "--out", str(path), "--no-cache", "--window", "3000",
+                         "--seed", "1"]) == 0
+        assert paths[0].read_text() == paths[1].read_text()
+
+    @pytest.mark.parametrize("parameter, value", [
+        ("vdd", "nan"), ("vdd", "inf"),
+        ("calibration", "nan"), ("calibration", "inf"),
+        ("clock_hz", "nan"), ("clock_hz", "inf"),
+        ("spindown_threshold_s", "nan"),
+    ])
+    def test_sensitivity_rejects_non_finite_values(
+        self, capsys, parameter, value
+    ):
+        assert main(["sensitivity", parameter, value, "--no-cache",
+                     "--window", "2000"]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -200,6 +200,12 @@ class TestDiskConfig:
         with pytest.raises(ValueError):
             DiskPowerPolicy(name="bad", spindown_threshold_s=0.0)
 
+    def test_nan_threshold_rejected_inf_kept(self):
+        with pytest.raises(ValueError, match="nan"):
+            DiskPowerPolicy(name="bad", spindown_threshold_s=float("nan"))
+        # inf is legal: the disk never spins down.
+        DiskPowerPolicy(name="never", spindown_threshold_s=float("inf"))
+
     def test_geometry_derived_values(self):
         geometry = DiskGeometry()
         assert geometry.rotation_time_s == pytest.approx(60.0 / 5400.0)
@@ -285,6 +291,31 @@ class TestValidate:
             with pytest.raises(ConfigError) as info:
                 bad.validate()
             assert info.value.field == f"technology.{field}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["vdd", "clock_hz", "calibration", "feature_size_um"]
+    )
+    def test_technology_rejects_non_finite(self, field, value):
+        from repro.core.campaign import sweep_source
+        from repro.stats import AccessCounters, CounterBundle
+
+        def transform(config, swept):
+            return dataclasses.replace(
+                config,
+                technology=dataclasses.replace(
+                    config.technology, **{field: swept}
+                ),
+            )
+
+        with pytest.raises(ConfigError) as info:
+            transform(SystemConfig.table1(), value).validate()
+        assert info.value.field == f"technology.{field}"
+        with pytest.raises(ConfigError):
+            sweep_source(
+                CounterBundle(AccessCounters(), cycles=1.0), field, [value],
+                transform=transform,
+            )
 
     def test_softwatt_constructor_validates(self):
         from repro.core.softwatt import SoftWatt

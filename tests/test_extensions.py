@@ -1,16 +1,13 @@
-"""Tests for the extension features: annotations, checkpoints, idle
-halting, EDP/peak metrics, adaptive spin-down, and log export."""
+"""Tests for the extension features: annotations, idle halting,
+EDP/peak metrics, adaptive spin-down, and log export."""
 
-import json
 import math
 
 import pytest
 
 from repro import SoftWatt
-from repro.config import DiskMode, SystemConfig, disk_configuration
+from repro.config import DiskMode, disk_configuration
 from repro.core.annotations import AnnotationSet
-from repro.core.campaign import PARAMETERS
-from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.disk import (
     BREAK_EVEN_IDLE_S,
     AdaptiveSpinDownDisk,
@@ -85,66 +82,6 @@ class TestAnnotations:
 
         assert annotations.on_sample_hooks == [hook]
         assert not annotations.empty
-
-
-class TestCheckpoints:
-    def test_roundtrip_reproduces_results(self, softwatt, jess, tmp_path):
-        path = tmp_path / "profiles.json"
-        softwatt.save_checkpoint(path)
-        restored = SoftWatt(window_instructions=WINDOW, seed=1)
-        restored.load_checkpoint(path)
-        again = restored.run("jess", disk=1)
-        for mode, row in jess.mode_breakdown().items():
-            assert again.mode_breakdown()[mode].cycles_pct == pytest.approx(
-                row.cycles_pct)
-        assert again.total_energy_j == pytest.approx(jess.total_energy_j)
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "absent.json")
-
-    def test_version_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    def test_cpu_model_mismatch_rejected(self, softwatt, jess, tmp_path):
-        path = tmp_path / "profiles.json"
-        softwatt.save_checkpoint(path)
-        mipsy = SoftWatt(cpu_model="mipsy", window_instructions=WINDOW, seed=1)
-        with pytest.raises(CheckpointError):
-            mipsy.load_checkpoint(path)
-
-    @pytest.mark.parametrize("other", [
-        {"config": PARAMETERS["l2_size"](
-            SystemConfig.table1(), 4 * SystemConfig.table1().l2.size_bytes)},
-        {"window_instructions": WINDOW + 1000},
-        {"seed": 7},
-    ])
-    def test_other_machine_rejects_entries(self, softwatt, jess, tmp_path, other):
-        path = tmp_path / "profiles.json"
-        softwatt.save_checkpoint(path)
-        options = {"window_instructions": WINDOW, "seed": 1, **other}
-        with pytest.raises(CheckpointError, match=r"benchmark '\w+'"):
-            SoftWatt(**options).load_checkpoint(path)
-        document = json.loads(path.read_text())
-        document["benchmarks"] = {}
-        path.write_text(json.dumps(document))
-        if "window_instructions" in other:
-            # Service profiles do not depend on the window.
-            SoftWatt(**options).load_checkpoint(path)
-        else:
-            with pytest.raises(CheckpointError, match="service 'utlb'"):
-                SoftWatt(**options).load_checkpoint(path)
-
-    def test_save_load_direct_api(self, softwatt, jess, tmp_path):
-        path = tmp_path / "direct.json"
-        save_checkpoint(path, profiles=softwatt._profiles, cpu_model="mxs")
-        profiles, services, cpu_model = load_checkpoint(path)
-        assert "jess" in profiles
-        assert cpu_model == "mxs"
-        assert services == {}
 
 
 class TestIdleHalting:

@@ -10,13 +10,10 @@ from repro.core import checkpoint
 from repro.core.checkpoint import (
     CACHE_DIR_ENV,
     MODEL_VERSION,
-    CheckpointError,
     ProfileCache,
     decode_profile,
     encode_profile,
-    load_checkpoint,
     profile_cache_key,
-    save_checkpoint,
     service_cache_key,
 )
 from repro.core.softwatt import SoftWatt
@@ -182,18 +179,32 @@ class TestPersistentCache:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         assert make_sw(tmp_path, use_cache=False).cache is None
 
-    def test_mismatched_config_reprofiles(self, tmp_path):
-        make_sw(tmp_path).profile("jess")
-        small_l1 = dataclasses.replace(
-            SystemConfig.table1(),
-            l1d=dataclasses.replace(
-                SystemConfig.table1().l1d, size_bytes=16 * 1024
-            ),
-        )
-        other = make_sw(tmp_path, config=small_l1)
-        other.profile("jess")
+    @staticmethod
+    def _assert_reprofiles(tmp_path, **other):
+        """A cache warmed on another machine, CPU model, window or seed
+        misses: the key hashes all four, so an entry is never served
+        under the wrong label."""
+        make_sw(tmp_path / "cache").run("jess")
+        mismatched = make_sw(tmp_path / "cache", **other)
+        mismatched.profile("jess")
         # Different key -> clean re-profile, no crash, no false hit.
-        assert other.profiler.detailed_runs == 1
+        assert mismatched.profiler.detailed_runs == 1
+        cold = make_sw(tmp_path / "cold", **other)
+        assert (mismatched.run("jess").total_energy_j
+                == cold.run("jess").total_energy_j)
+
+    def test_mismatched_config_reprofiles(self, tmp_path):
+        self._assert_reprofiles(
+            tmp_path, config=_replace(_TABLE1, "l1d", size_bytes=16 * 1024)
+        )
+
+    @pytest.mark.parametrize("other", [
+        {"cpu_model": "mipsy"},
+        {"window_instructions": WINDOW + 1000},
+        {"seed": 7},
+    ], ids=["mipsy", "window", "seed"])
+    def test_mismatched_settings_reprofile(self, tmp_path, other):
+        self._assert_reprofiles(tmp_path, **other)
 
     def test_model_version_mismatch_evicts_and_reprofiles(
         self, tmp_path, monkeypatch
@@ -251,19 +262,6 @@ class TestPersistentCache:
         assert sw.cache.load_service(key) is None
         assert sw.cache.stats.quarantined == 1
         assert sw.service_profiles(("read",), invocations=30)["read"].energies_j
-
-    def test_old_checkpoint_version_is_rejected(self, tmp_path):
-        sw = make_sw(tmp_path)
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(path, profiles={}, service_profiles={
-            "utlb": sw.profiler.profile_service("utlb", invocations=2)})
-        _, services, _ = load_checkpoint(path)
-        assert services["utlb"].counters
-        document = json.loads(path.read_text())
-        document["version"] = 1
-        path.write_text(json.dumps(document))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
 
     def test_readonly_cache_dir_does_not_break_profiling(self, tmp_path):
         missing = tmp_path / "no-such" / "nested"
@@ -332,3 +330,41 @@ class TestConcurrentQuarantine:
         # Every quarantine file had exactly one mover across the two
         # threads: counters and files agree, nothing double-moved.
         assert total == len(quarantined) >= 1
+
+    def test_threaded_writers_of_one_key_never_tear_an_entry(self, tmp_path):
+        """Two threads of one process storing the same key (serve's
+        detailed and sampled rungs share service entries) while a third
+        reads it: every read decodes, nothing is quarantined."""
+        import threading
+
+        sw = make_sw(tmp_path)
+        key = sw._service_key("utlb", 2)
+        profile = sw.profiler.profile_service("utlb", invocations=2)
+        cache = ProfileCache(tmp_path)
+        cache.store_service(key, profile)
+        stop = threading.Event()
+
+        def write() -> None:
+            writer = ProfileCache(tmp_path)
+            while not stop.is_set():
+                writer.store_service(key, profile)
+
+        reads = 0
+
+        def read() -> None:
+            nonlocal reads
+            while not stop.is_set():
+                cache.load_service(key)  # a torn read would be evicted
+                reads += 1
+
+        threads = [threading.Thread(target=write) for _ in range(2)]
+        threads.append(threading.Thread(target=read))
+        for thread in threads:
+            thread.start()
+        stop.wait(1.5)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert reads > 0
+        assert cache.stats.evictions == 0
+        assert not (tmp_path / "quarantine").exists()

@@ -11,7 +11,6 @@ from repro.config import (
 from repro.disk import AdaptiveSpinDownDisk, PowerManagedDisk
 from repro.isa import OpClass, copy_loop, spin_loop
 from repro.power import ArrayEnergyModel, CacheEnergyModel, CAMEnergyModel
-from repro.stats import TimingTree
 
 
 class TestCacheEnergyProperties:
@@ -136,34 +135,3 @@ class TestStreamHelperProperties:
         stores = [i for i in instrs if i.op is OpClass.STORE]
         assert len(loads) == len(stores) == (nbytes + 7) // 8
         assert len(loads) * 8 >= nbytes
-
-
-class TestTimingTreeProperties:
-    @given(st.lists(
-        st.tuples(st.sampled_from(["kernel", "user", "utlb", "read"]),
-                  st.floats(0.0, 1e6)),
-        min_size=1, max_size=50))
-    @settings(max_examples=40, deadline=None)
-    def test_root_equals_sum_of_records(self, records):
-        tree = TimingTree()
-        total = 0.0
-        for name, cycles in records:
-            tree.record((name,), cycles)
-            total += cycles
-        assert tree.root.cycles == pytest.approx(total)
-        children = sum(node.cycles for node in tree.root.children.values())
-        assert children == pytest.approx(total)
-
-    @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_balanced_enter_exit_always_legal(self, names):
-        tree = TimingTree()
-        stack = []
-        for name in names:
-            tree.enter(name)
-            stack.append(name)
-            tree.accrue(1.0)
-        while stack:
-            tree.exit(stack.pop())
-        assert tree.current_path == ("root",)
-        assert tree.root.cycles == pytest.approx(len(names))

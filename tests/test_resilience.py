@@ -1,8 +1,7 @@
 """Tests for the fault-tolerant simulation supervisor.
 
 The deterministic :class:`FaultPlan` harness injects crashes, hangs,
-errors, corrupt cache entries, and truncated checkpoints at controlled
-points, so every recovery path in ``repro.resilience`` runs in CI —
+errors, and corrupt or truncated cache entries at controlled points, so every recovery path in ``repro.resilience`` runs in CI —
 including the regression proving that a recovered run stays
 bit-identical to a clean one (against ``tests/data/golden_energy.json``).
 """
@@ -14,7 +13,6 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.core.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from repro.core.softwatt import SoftWatt
 from repro.core.profiles import Profiler
 from repro.resilience import (
@@ -312,15 +310,6 @@ class TestRunReport:
 
 
 class TestCheckpointFailurePaths:
-    def test_truncated_checkpoint_raises_checkpoint_error(self, tmp_path):
-        sw = SoftWatt(window_instructions=WINDOW, seed=1, use_cache=False)
-        sw.profile("jess")
-        path = tmp_path / "ck.json"
-        save_checkpoint(path, profiles=sw._profiles)
-        truncate_file(path, keep_bytes=40)
-        with pytest.raises(CheckpointError, match="cannot read"):
-            load_checkpoint(path)
-
     def test_corrupt_cache_entry_is_quarantined_not_deleted(self, tmp_path):
         sw = SoftWatt(window_instructions=WINDOW, seed=1, cache_dir=tmp_path)
         sw.profile("jess")
@@ -505,6 +494,39 @@ class TestFailedStageKeepsWork:
         assert warm.profiler.detailed_runs == 1
 
 
+class TestProfileIsSupervised:
+    """``SoftWatt.profile`` makes a missing profile through the same
+    supervised fan-out as ``profile_many``."""
+
+    def _softwatt(self, **options):
+        return SoftWatt(window_instructions=2000, seed=1, use_cache=False,
+                        retries=0, fault_plan=FaultPlan.parse("error@0x9"),
+                        **options)
+
+    @pytest.mark.parametrize("best_effort", [False, True])
+    def test_failed_profile_raises(self, best_effort):
+        softwatt = self._softwatt(best_effort=best_effort)
+        with pytest.raises(TaskExecutionError) as info:
+            softwatt.profile("jess")
+        assert [task.label for task in info.value.report.failed] == ["jess"]
+        assert "jess" not in softwatt._profiles
+
+    def test_retried_profile_matches_clean(self):
+        retried = SoftWatt(window_instructions=2000, seed=1, use_cache=False,
+                           retries=1, fault_plan=FaultPlan.parse("error@0"))
+        clean = SoftWatt(window_instructions=2000, seed=1, use_cache=False)
+        profile = retried.profile("jess")
+        (task,) = retried.run_report.tasks
+        assert task.label == "jess" and task.attempts == 2
+        assert (profile.phases["steady"].aggregate.cycles
+                == clean.profile("jess").phases["steady"].aggregate.cycles)
+
+    def test_cli_run_honours_the_fault_plan(self, capsys):
+        assert main(["run", "jess", "--retries", "0", "--fault-plan",
+                     "error@0x9", "--no-cache", "--window", "2000"]) == 1
+        assert "FAILED jess" in capsys.readouterr().err
+
+
 class TestCLIResilience:
     def test_flags_parse(self):
         from repro.cli import build_parser
@@ -528,15 +550,28 @@ class TestCLIResilience:
 
     @pytest.mark.fault_injection
     def test_strict_mode_exits_nonzero_on_degraded_run(self, tmp_path, capsys):
-        base = ["checkpoint", "db", "jess", "--out", str(tmp_path / "ck.json"),
+        base = ["checkpoint", "db", "jess",
                 "--window", str(WINDOW), "--seed", "1", "--workers", "2",
-                "--no-cache", "--fault-plan", "crash@1"]
-        assert main([*base, "--strict"]) == 1
+                "--fault-plan", "crash@1"]
+        # A fresh cache per invocation, so both runs profile and fault.
+        assert main([*base, "--cache-dir", str(tmp_path / "a"), "--strict"]) == 1
         out = capsys.readouterr().out
         assert "run report:" in out
         assert "pool-broken" in out
         # The identical degraded run is tolerated without --strict.
-        assert main(base) == 0
+        assert main([*base, "--cache-dir", str(tmp_path / "b")]) == 0
+        assert "pool-broken" in capsys.readouterr().out
+
+    def test_best_effort_suite_report_with_every_benchmark_failed(
+        self, capsys
+    ):
+        plan = ",".join(f"error@{index}x9" for index in range(6))
+        assert main(["report", "suite", "--best-effort", "--retries", "0",
+                     "--fault-plan", plan, "--window", "2000",
+                     "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "SoftWatt suite report" in out
+        assert "FAILED jack" in out
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_best_effort_services_prints_skipped_row(self, capsys, workers):

@@ -3,7 +3,7 @@
 ``tests/data/rung_golden.json`` was recorded by
 ``scripts/rung_golden.py``.  Every (rung, CPU model, benchmark) entry
 replays through ``Profiler.profile_benchmark`` and must reproduce the
-SHA-256 of its checkpoint encoding, its total cycles and its total
+SHA-256 of its ``encode_profile`` output, its total cycles and its total
 instructions.
 """
 

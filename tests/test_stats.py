@@ -14,7 +14,6 @@ from repro.stats import (
     LogRecord,
     PowerTrace,
     SimulationLog,
-    TimingTree,
     compute_power_trace,
     counters_row,
     rates_per_cycle,
@@ -88,70 +87,6 @@ class TestAccessCounters:
         combined = base.copy()
         combined.add(increment)
         assert combined.delta(base) == increment
-
-
-class TestTimingTree:
-    def test_enter_accrue_exit(self):
-        tree = TimingTree()
-        tree.enter("kernel")
-        tree.enter("utlb")
-        tree.accrue(10.0, energy_j=1.0)
-        tree.exit("utlb")
-        tree.accrue(5.0)
-        tree.exit("kernel")
-        assert tree.root.cycles == pytest.approx(15.0)
-        assert tree.node("kernel").cycles == pytest.approx(15.0)
-        assert tree.node("kernel", "utlb").cycles == pytest.approx(10.0)
-        assert tree.node("kernel", "utlb").energy_j == pytest.approx(1.0)
-
-    def test_self_cycles(self):
-        tree = TimingTree()
-        tree.enter("kernel")
-        tree.enter("utlb")
-        tree.accrue(10.0)
-        tree.exit("utlb")
-        tree.accrue(5.0)
-        tree.exit("kernel")
-        assert tree.node("kernel").self_cycles == pytest.approx(5.0)
-
-    def test_exit_mismatch_rejected(self):
-        tree = TimingTree()
-        tree.enter("a")
-        with pytest.raises(RuntimeError):
-            tree.exit("b")
-
-    def test_cannot_exit_root(self):
-        with pytest.raises(RuntimeError):
-            TimingTree().exit("root")
-
-    def test_record_batch_interface(self):
-        tree = TimingTree()
-        tree.record(("kernel", "read"), 100.0, 2.0)
-        tree.record(("kernel", "read"), 50.0, 1.0)
-        node = tree.node("kernel", "read")
-        assert node.cycles == pytest.approx(150.0)
-        assert node.energy_j == pytest.approx(3.0)
-
-    def test_missing_node_lookup(self):
-        with pytest.raises(KeyError):
-            TimingTree().node("nope")
-
-    def test_negative_rejected(self):
-        tree = TimingTree()
-        with pytest.raises(ValueError):
-            tree.accrue(-1.0)
-
-    def test_visits_counted(self):
-        tree = TimingTree()
-        for _ in range(3):
-            tree.enter("svc")
-            tree.exit("svc")
-        assert tree.node("svc").visits == 3
-
-    def test_format_mentions_nodes(self):
-        tree = TimingTree()
-        tree.record(("kernel",), 10.0)
-        assert "kernel" in tree.format()
 
 
 class TestSimulationLog:
