@@ -1,46 +1,53 @@
-"""Benches for the DVFS and thermal post-processing extensions.
+"""Benches for the DVFS sweep and the thermal post-processing extension.
 
 Both close loops the paper opens: supply-voltage scaling is the first
 circuit technique Section 1 lists, and Section 3.1 justifies designing
 for *average* power by appeal to dynamic thermal management.
 """
 
-from conftest import print_header
+from conftest import SEED, WINDOW, print_header
 
-from repro.power import ThermalModel, sweep
+from repro.core.campaign import SweepCampaign
+from repro.power import ThermalModel, operating_point, scaled_frequency_hz
 
 
-def test_bench_dvfs_sweep(sw, suite_idle_disk, benchmark):
-    """Voltage sweep on mtrt: CPU energy falls quadratically, but the
-    wall-clock stretch keeps the disk powered longer — system energy
-    has a minimum, and EDP has its own (higher-voltage) optimum."""
-    result = suite_idle_disk["mtrt"]
+def test_bench_dvfs_sweep(sw, suite_idle_disk, profile_cache_dir, benchmark):
+    """Voltage sweep on mtrt: CPU energy falls with voltage, but the
+    same work runs longer at the lower clock and keeps the disk powered
+    longer — system energy has a minimum, and EDP has its own
+    (higher-voltage) optimum."""
     vdds = [3.3, 3.0, 2.7, 2.4, 2.1, 1.8, 1.5, 1.2]
+    # The base point reuses suite_idle_disk's cached mtrt profile.
+    campaign = SweepCampaign(
+        benchmark="mtrt", disk=2, window_instructions=WINDOW, seed=SEED,
+        cache_dir=profile_cache_dir,
+    )
 
-    evaluations = benchmark(sweep, result, vdds)
+    sweep = benchmark(campaign.run, "vdd", vdds, transform=operating_point)
     print_header("Extension: DVFS sweep (mtrt, IDLE-capable disk)")
     print(f"  {'Vdd V':>6s} {'f MHz':>6s} {'CPU J':>7s} {'disk J':>7s} "
           f"{'total J':>8s} {'dur s':>6s} {'EDP Js':>8s}")
-    for ev in evaluations:
-        print(f"  {ev.point.vdd:6.1f} {ev.point.clock_hz / 1e6:6.0f} "
-              f"{ev.cpu_energy_j:7.1f} {ev.disk_energy_j:7.1f} "
-              f"{ev.total_energy_j:8.1f} {ev.duration_s:6.1f} "
-              f"{ev.energy_delay_product:8.0f}")
+    cpu, disk = [], []
+    for point in sweep.points:
+        clock_hz = scaled_frequency_hz(point.value, sw.config.technology)
+        disk.append(point.component_energy_j["disk"])
+        cpu.append(point.energy_j - disk[-1])
+        print(f"  {point.value:6.1f} {clock_hz / 1e6:6.0f} "
+              f"{cpu[-1]:7.1f} {disk[-1]:7.1f} "
+              f"{point.energy_j:8.1f} {point.duration_s:6.1f} "
+              f"{point.energy_delay_product:8.0f}")
 
-    base = evaluations[0]
     # CPU energy monotonically falls with voltage.
-    cpu = [ev.cpu_energy_j for ev in evaluations]
     assert cpu == sorted(cpu, reverse=True)
     # Disk energy monotonically rises (the platter outlives the CPU win).
-    disk = [ev.disk_energy_j for ev in evaluations]
     assert disk == sorted(disk)
     # System energy has an interior minimum: some mid voltage beats both
     # the top and the bottom of the sweep.
-    totals = [ev.total_energy_j for ev in evaluations]
+    totals = [point.energy_j for point in sweep.points]
     best = min(range(len(totals)), key=totals.__getitem__)
     assert 0 < best < len(totals) - 1
     # EDP's optimum sits at a higher voltage than the energy optimum.
-    edps = [ev.energy_delay_product for ev in evaluations]
+    edps = [point.energy_delay_product for point in sweep.points]
     best_edp = min(range(len(edps)), key=edps.__getitem__)
     assert best_edp <= best
 

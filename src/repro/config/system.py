@@ -19,6 +19,14 @@ MB = 1024 * KB
 PAGE_SIZE = 4 * KB
 """Virtual-memory page size in bytes (IRIX on MIPS uses 4 KB pages)."""
 
+MIN_CLOCK_HZ = 1e6
+"""Lowest clock :meth:`SystemConfig.validate` accepts (1 MHz).
+
+The timeline stretches a run's compute time by the Table 1 clock over
+``clock_hz`` and samples it at a fixed interval, so its host time grows
+as ``1 / clock_hz``: a 1 MHz jess replay already takes about half a
+second, and a 1 Hz one would take days."""
+
 
 class ConfigError(ValueError):
     """A system configuration that cannot be simulated meaningfully.
@@ -332,11 +340,14 @@ class SystemConfig:
                 "technology.vdd", f"supply voltage must be positive and "
                 f"finite, got {technology.vdd}"
             )
-        if not (math.isfinite(technology.clock_hz) and technology.clock_hz > 0):
+        if not (
+            math.isfinite(technology.clock_hz)
+            and technology.clock_hz >= MIN_CLOCK_HZ
+        ):
             raise ConfigError(
                 "technology.clock_hz",
-                f"clock frequency must be positive and finite, got "
-                f"{technology.clock_hz}",
+                f"clock frequency must be finite and at least "
+                f"{MIN_CLOCK_HZ:g} Hz, got {technology.clock_hz}",
             )
         if not (
             math.isfinite(technology.calibration) and technology.calibration >= 0

@@ -11,7 +11,10 @@ paper shows is workload-independent, justifying exactly this
 fast-forwarding).  The disk is simulated event-exactly alongside.
 
 Disk events in the benchmark spec are given in *compute progress*
-seconds: a request issued after P seconds of computation.  Blocking
+seconds: a request issued after P seconds of computation.  Both the
+spec's compute time and its progress times are calibrated for the
+Table 1 clock; a slower clock stretches them (the same work takes
+longer), a faster one compresses them.  Blocking
 I/O stretches wall time (the process waits; the idle process runs), so
 wall = progress + accumulated I/O waiting, matching how spin-up
 penalties serialise with execution in the paper's Section 4 study.
@@ -29,6 +32,7 @@ from repro.config.diskcfg import (
     DiskPowerPolicy,
     disk_configuration,
 )
+from repro.config.technology import CLOCK_HZ
 from repro.core.profiles import (
     BenchmarkProfile,
     PhaseProfile,
@@ -170,9 +174,11 @@ class TimelineSimulator:
         )
         if speed_factor <= 0:
             raise ValueError("speed factor must be positive")
-        # Mipsy-style runs take longer wall time for the same work; the
-        # spec's durations are calibrated for the 4-wide MXS machine.
-        self.speed_factor = speed_factor
+        # Mipsy-style runs take longer wall time for the same work, and
+        # so does a slower clock: the spec's durations are calibrated
+        # for the 4-wide MXS machine at the Table 1 clock.  The clock
+        # ratio is taken first so it is exactly 1.0 at Table 1.
+        self.speed_factor = speed_factor * (CLOCK_HZ / self.clock_hz)
 
     # ------------------------------------------------------------------
     # Segment assembly
@@ -279,9 +285,10 @@ class TimelineSimulator:
         scheduled_cycles = 0.0
         # Invocation counts are a property of the *work* the benchmark
         # does, not of the machine running it: derive them from the
-        # reference (4-wide MXS) run length so slower machines execute
-        # the same number of reads/faults over a longer wall time.
-        reference_cycles = self.profile.spec.compute_duration_s * self.clock_hz
+        # reference run (4-wide MXS at the Table 1 clock), so slower
+        # machines and clocks execute the same number of reads/faults
+        # over a longer wall time.
+        reference_cycles = self.profile.spec.compute_duration_s * CLOCK_HZ
         for service, density in densities.items():
             svc_profile = self.service_profiles.get(service)
             if svc_profile is None:

@@ -4,14 +4,7 @@ from repro.power.array import ArrayEnergyModel, CAMEnergyModel
 from repro.power.bitlines import CacheEnergyBreakdown, CacheEnergyModel
 from repro.power.clocktree import ClockNetworkModel
 from repro.power.conditional import ClockedUnit, gating_factor, unit_activity
-from repro.power.dvfs import (
-    DVFSEvaluation,
-    OperatingPoint,
-    evaluate_at,
-    operating_point,
-    scaled_frequency_hz,
-    sweep,
-)
+from repro.power.dvfs import operating_point, scaled_frequency_hz
 from repro.power.thermal import ThermalModel, ThermalProfile
 from repro.power.functional import FunctionalUnitEnergyModel
 from repro.power.ledger import EnergyLedger
@@ -37,12 +30,8 @@ __all__ = [
     "ClockedUnit",
     "gating_factor",
     "unit_activity",
-    "DVFSEvaluation",
-    "OperatingPoint",
-    "evaluate_at",
     "operating_point",
     "scaled_frequency_hz",
-    "sweep",
     "ThermalModel",
     "ThermalProfile",
     "FunctionalUnitEnergyModel",

@@ -1,18 +1,18 @@
-"""Voltage/frequency scaling evaluation (post-processing).
+"""Voltage/frequency scaling as a sweep axis.
 
 The paper's introduction lists supply-voltage scaling among the
 circuit-level techniques its tool should help evaluate (Section 1), and
 its EDP metric exists precisely to judge such energy-vs-performance
-tradeoffs (Section 3.1).  This module evaluates a finished run at other
-(Vdd, f) operating points, entirely in post-processing:
+tradeoffs (Section 3.1).  A DVFS point is just a machine configuration:
+:func:`operating_point` sets the supply voltage and the clock that
+voltage sustains, and the rest of the pipeline prices it like any other
+point.  The power models re-price every access at the new voltage, and
+the timeline stretches the same work over the slower clock.  The disk
+is simulated over that longer run, so a slower CPU keeps the platter
+powered longer, which is why DVFS can *lose* system energy on
+disk-heavy workloads::
 
-* dynamic energy scales with Vdd^2 (every analytical model here is
-  ``0.5 C V^2`` based),
-* run time scales with 1/f for the CPU-bound part, while disk service
-  and spin times are wall-clock fixed,
-* the disk's energy is re-integrated over the stretched timeline (a
-  slower CPU keeps the platter powered longer — the reason DVFS can
-  *lose* system energy on disk-heavy workloads).
+    SweepCampaign(benchmark="mtrt").run("vdd", vdds, transform=operating_point)
 
 Operating points follow the classic alpha-power delay model: frequency
 at voltage V relative to (V0, f0) is ``f0 * (V/V0 - Vt/V0)^a / (1 - Vt/V0)^a``.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.config.system import SystemConfig
 from repro.config.technology import Technology
 
 ALPHA = 1.6
@@ -31,96 +32,27 @@ THRESHOLD_V = 0.55
 """Device threshold voltage at the 0.35 um design point."""
 
 
-@dataclasses.dataclass(frozen=True)
-class OperatingPoint:
-    """One (Vdd, clock) pair."""
-
-    vdd: float
-    clock_hz: float
-
-    def __post_init__(self) -> None:
-        if self.vdd <= THRESHOLD_V:
-            raise ValueError(
-                f"Vdd {self.vdd} V is at or below threshold ({THRESHOLD_V} V)"
-            )
-        if self.clock_hz <= 0:
-            raise ValueError("clock must be positive")
-
-
 def scaled_frequency_hz(vdd: float, base: Technology) -> float:
     """Maximum clock at ``vdd``, alpha-power scaled from the base point."""
     if vdd <= THRESHOLD_V:
         raise ValueError(f"Vdd {vdd} V is at or below threshold")
     numerator = (vdd - THRESHOLD_V) ** ALPHA / vdd
     denominator = (base.vdd - THRESHOLD_V) ** ALPHA / base.vdd
-    return base.clock_hz * numerator / denominator
+    # The ratio first, so it is exactly 1.0 at the base voltage.
+    return base.clock_hz * (numerator / denominator)
 
 
-def operating_point(vdd: float, base: Technology) -> OperatingPoint:
-    """The operating point at ``vdd`` with its alpha-power clock."""
-    return OperatingPoint(vdd=vdd, clock_hz=scaled_frequency_hz(vdd, base))
+def operating_point(config: SystemConfig, vdd: float) -> SystemConfig:
+    """``config`` at supply ``vdd`` and the clock it sustains there,
+    alpha-power scaled from the config's own (vdd, clock).
 
-
-@dataclasses.dataclass(frozen=True)
-class DVFSEvaluation:
-    """A run re-evaluated at one operating point."""
-
-    point: OperatingPoint
-    cpu_energy_j: float
-    disk_energy_j: float
-    duration_s: float
-
-    @property
-    def total_energy_j(self) -> float:
-        """System energy at this point."""
-        return self.cpu_energy_j + self.disk_energy_j
-
-    @property
-    def energy_delay_product(self) -> float:
-        """EDP at this point (joule-seconds)."""
-        return self.total_energy_j * self.duration_s
-
-
-def evaluate_at(result, point: OperatingPoint) -> DVFSEvaluation:
-    """Re-evaluate a :class:`~repro.core.report.BenchmarkResult` at
-    ``point``.
-
-    CPU/memory dynamic energy scales with ``(V/V0)^2``; the busy part of
-    the timeline stretches by ``f0/f`` while disk *service* time is
-    unchanged; idle-wait time cannot go below the disk's actual latency,
-    so total duration = busy/f-scaled + the original I/O wait.  The disk
-    then holds its between-request mode for the longer run, charged at
-    that mode's (voltage-independent) power.
+    A campaign transform: at the config's own voltage it returns an
+    equal config, so the base point of a DVFS sweep is the base run.
     """
-    base = result.model.technology
-    voltage_ratio = (point.vdd / base.vdd) ** 2
-    slowdown = base.clock_hz / point.clock_hz
-
-    cycles = int(result.timeline.log.total_cycles()) or 1
-    counters = result.timeline.log.total_counters()
-    cpu_energy = result.model.ledger(counters, cycles).total_j * voltage_ratio
-
-    busy_s = result.timeline.duration_s - result.timeline.idle_wait_s
-    duration = busy_s * slowdown + result.timeline.idle_wait_s
-
-    # Disk: the requests themselves are unchanged; the stretched compute
-    # time is spent in the disk's between-request resting mode.
-    disk = result.timeline.disk
-    resting_power = (
-        3.2 if disk.policy.conventional else disk.energy.average_power_w()
+    technology = config.technology
+    return dataclasses.replace(
+        config,
+        technology=dataclasses.replace(
+            technology, vdd=vdd, clock_hz=scaled_frequency_hz(vdd, technology)
+        ),
     )
-    extra_s = duration - result.timeline.duration_s
-    disk_energy = disk.energy.energy_j + max(0.0, extra_s) * resting_power
-
-    return DVFSEvaluation(
-        point=point,
-        cpu_energy_j=cpu_energy,
-        disk_energy_j=disk_energy,
-        duration_s=duration,
-    )
-
-
-def sweep(result, vdds: list[float]) -> list[DVFSEvaluation]:
-    """Evaluate a run across a list of supply voltages."""
-    base = result.model.technology
-    return [evaluate_at(result, operating_point(vdd, base)) for vdd in vdds]

@@ -37,6 +37,7 @@ from repro.core.campaign import (
 )
 from repro.core.checkpoint import profile_cache_key, service_cache_key
 from repro.core.softwatt import SoftWatt
+from repro.power.dvfs import operating_point
 from repro.resilience.faults import FaultPlan
 from repro.resilience.supervisor import TaskExecutionError
 from repro.workloads.specjvm98 import benchmark
@@ -264,6 +265,16 @@ class TestTimelineTier:
     def test_clock_sweep_matches_full(self):
         cheap = SweepCampaign(**SETTINGS).run("clock_hz", [150e6])
         full = SweepCampaign(tier="full", **SETTINGS).run("clock_hz", [150e6])
+        assert cheap.tiers == ("TIMELINE",)
+        assert _point_fields(cheap.points[0]) == _point_fields(full.points[0])
+
+    def test_dvfs_point_matches_full(self):
+        """A DVFS point changes vdd and clock together: the timeline
+        tier replays it exactly as a full re-simulation does."""
+        cheap = SweepCampaign(**SETTINGS).run(
+            "vdd", [2.0], transform=operating_point)
+        full = SweepCampaign(tier="full", **SETTINGS).run(
+            "vdd", [2.0], transform=operating_point)
         assert cheap.tiers == ("TIMELINE",)
         assert _point_fields(cheap.points[0]) == _point_fields(full.points[0])
 

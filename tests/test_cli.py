@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.profiles import Profiler
+from repro.core.softwatt import SoftWatt
 
 WINDOW_ARGS = ["--window", "8000", "--seed", "1"]
 
@@ -156,3 +157,12 @@ class TestCommands:
         assert main(["sensitivity", parameter, value, "--no-cache",
                      "--window", "2000"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sensitivity_rejects_clock_below_floor(self, capsys, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("the sweep simulated")
+
+        monkeypatch.setattr(SoftWatt, "run", simulate)
+        assert main(["sensitivity", "clock_hz", "1", "--no-cache",
+                     "--window", "2000"]) == 2
+        assert "technology.clock_hz" in capsys.readouterr().err

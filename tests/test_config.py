@@ -24,6 +24,7 @@ from repro.config.diskcfg import (
     SPINDOWN_TIME_S,
     SPINUP_TIME_S,
 )
+from repro.config.system import MIN_CLOCK_HZ
 
 KB = 1024
 MB = 1024 * KB
@@ -281,6 +282,7 @@ class TestValidate:
         for field, value in (
             ("vdd", 0.0),
             ("clock_hz", -1.0),
+            ("clock_hz", MIN_CLOCK_HZ / 2),
             ("calibration", -0.5),
             ("feature_size_um", 0.0),
         ):

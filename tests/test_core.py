@@ -1,5 +1,7 @@
 """Tests for the SoftWatt core: profiler, timeline, facade, reports."""
 
+import dataclasses
+
 import pytest
 
 from repro import SoftWatt
@@ -176,6 +178,52 @@ class TestTimeline:
             TimelineSimulator(profile, sample_interval_s=0.0)
         with pytest.raises(ValueError):
             TimelineSimulator(profile, speed_factor=0.0)
+
+
+class TestClockScaling:
+    """A slower clock runs the same work for longer: halving
+    ``clock_hz`` at fixed vdd doubles compute time and leaves every
+    busy-mode cycle, counter and service invocation as it was."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("clock-cache")
+        base = SystemConfig.table1()
+        runs = {}
+        for clock_hz in (200e6, 100e6):
+            config = dataclasses.replace(
+                base,
+                technology=dataclasses.replace(base.technology, clock_hz=clock_hz),
+            )
+            # One cache: profile keys leave the technology out, so the
+            # 100 MHz machine replays the 200 MHz profiles.
+            softwatt = SoftWatt(
+                config, window_instructions=15_000, seed=1, cache_dir=cache_dir
+            )
+            runs[clock_hz] = softwatt.run("jess", disk=2).timeline
+        return runs[200e6], runs[100e6]
+
+    def test_busy_modes_do_the_same_work(self, runs):
+        fast, slow = runs
+        for mode in (ExecutionMode.USER, ExecutionMode.KERNEL, ExecutionMode.SYNC):
+            assert slow.mode_cycles[mode] == pytest.approx(
+                fast.mode_cycles[mode], rel=1e-12)
+            assert dict(slow.mode_counters[mode].items()) == pytest.approx(
+                dict(fast.mode_counters[mode].items()), rel=1e-12)
+
+    def test_service_invocations_are_the_same(self, runs):
+        fast, slow = runs
+        assert slow.invocations == pytest.approx(fast.invocations, rel=1e-12)
+
+    def test_compute_time_doubles(self, runs):
+        fast, slow = runs
+        assert slow.compute_duration_s == 2.0 * fast.compute_duration_s
+
+    def test_idle_cycles_halve_over_the_same_wait(self, runs):
+        fast, slow = runs
+        assert slow.idle_wait_s == pytest.approx(fast.idle_wait_s, rel=1e-9)
+        assert slow.mode_cycles[ExecutionMode.IDLE] == pytest.approx(
+            fast.mode_cycles[ExecutionMode.IDLE] / 2.0, rel=1e-9)
 
 
 class TestSoftWattFacade:

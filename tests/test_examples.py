@@ -1,7 +1,7 @@
 """The example scripts import names that exist.
 
-No test runs ``examples/`` (each takes minutes), so a renamed or deleted
-library name would break them silently.  This parses each script with
+No test runs ``examples/`` (most take minutes; CI runs only the DVFS
+study), so a renamed or deleted library name would break them silently.  This parses each script with
 ``ast``, imports every ``repro`` module it names in a ``from ...
 import``, and checks each imported name is there.
 """

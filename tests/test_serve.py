@@ -330,6 +330,17 @@ class TestSweepValidation:
     does: every malformed body is a counted 400, never a raise, a 500
     or a 504."""
 
+    def test_clock_below_floor_is_400_without_simulating(self, monkeypatch):
+        # A 1 Hz timeline replay would hold the sweep lock for days.
+        def simulate(*args, **kwargs):
+            raise AssertionError("the sweep simulated")
+
+        monkeypatch.setattr(SoftWatt, "run", simulate)
+        engine = make_engine(None, use_cache=False)
+        reply = engine.sweep({"parameter": "clock_hz", "values": [1]})
+        assert reply["status"] == 400, reply
+        assert "technology.clock_hz" in reply["error"]
+
     @pytest.mark.parametrize("fields", [
         {"deadline_s": "x"},
         {"deadline_s": -1},
